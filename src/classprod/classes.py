@@ -14,15 +14,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
-    EvenPrimeError,
     GroupMismatchError,
     InvalidParameterError,
-    InvalidPrimeError,
     NotCentralError,
     PreconditionViolatedError,
 )
 from .groups import Element, GroupHandle, SubgroupView, centralizer
-from .util import is_prime
+from .util import _require_odd_prime
 
 
 class ConjugacyClass:
@@ -177,8 +175,12 @@ class ClassDecomposition:
     """A G-invariant set written as the disjoint union of classes."""
 
     group: GroupHandle
-    source: frozenset[Element]
     classes: tuple[ConjugacyClass, ...]
+
+    @property
+    def source(self) -> frozenset[Element]:
+        """The decomposed set itself, rebuilt from its classes on demand."""
+        return frozenset(Element(raw) for c in self.classes for raw in c._raw)
 
     @property
     def eta(self) -> int:
@@ -248,9 +250,7 @@ def class_product(x: ConjugacyClass, y: ConjugacyClass) -> ClassDecomposition:
     g = x.group
     mul = g._mul
     product = {mul(u, v) for u in x._raw for v in y._raw}
-    classes = _decompose_raw(g, product)
-    return ClassDecomposition(g, frozenset(Element(raw) for raw in product),
-                              classes)
+    return ClassDecomposition(g, _decompose_raw(g, product))
 
 
 def decompose_invariant_set(g: GroupHandle,
@@ -262,20 +262,12 @@ def decompose_invariant_set(g: GroupHandle,
         raw.add(x.encoding)
     if not raw:
         raise InvalidParameterError("cannot decompose an empty set")
-    return ClassDecomposition(g, frozenset(Element(b) for b in raw),
-                              _decompose_raw(g, raw))
+    return ClassDecomposition(g, _decompose_raw(g, raw))
 
 
 def eta(g: GroupHandle, a: Element, b: Element) -> int:
     """Number of distinct classes in a^G * b^G."""
     return class_product(conjugacy_class(g, a), conjugacy_class(g, b)).eta
-
-
-def _require_odd_prime(p, where: str) -> None:
-    if not isinstance(p, int) or not is_prime(p):
-        raise InvalidPrimeError(f"{where} needs a prime p, got {p!r}")
-    if p == 2:
-        raise EvenPrimeError(f"{where} needs an odd prime p, got 2")
 
 
 def quadratic_image(r: int, s: int, t: int, p: int) -> frozenset[int]:

@@ -28,24 +28,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .classes import class_partition, class_product, conjugacy_class
-from .constructions import ConstructionSpec, corpus, predicted_order
-from .errors import (
-    ClassprodError,
-    EnumerationCapError,
-    TheoremViolationError,
-)
+from .constructions import ConstructionSpec, corpus
+from .errors import ClassprodError, TheoremViolationError
 from .formats import load_group
 from .groups import DEFAULT_ORDER_CAP, center
 from .verify import (
+    TheoremReport,
+    collect_spectrum,
     corpus_theorem_report,
-    merge_spectrum_reports,
-    parse_report_record,
-    reproduction_plan,
     run_reproduction_check,
+    runnable_reproductions,
     spectrum_corpus_report,
-    verify_size_two,
-    verify_theorem_a,
-    verify_theorem_b,
+    verify_group,
 )
 from .words import parse_element_word
 
@@ -184,24 +178,24 @@ def parse_config(argv=None) -> RunConfig:
 # ----------------------------------------------------------------------
 # parallel workers (module level so they pickle)
 
-def _corpus_verify_worker(args) -> dict:
-    theorem, spec_plain, p, cap, timings = args
+def _corpus_verify_worker(args) -> TheoremReport:
+    theorem, spec_plain, p, cap = args
     spec = ConstructionSpec.from_plain(spec_plain)
-    return corpus_theorem_report(theorem, spec, p, cap).to_record(timings)
+    return corpus_theorem_report(theorem, spec, p, cap)
 
 
-def _reproduction_worker(args) -> dict:
-    check, p, cap, timings = args
-    return run_reproduction_check(check, p, cap).to_record(timings)
+def _reproduction_worker(args) -> TheoremReport:
+    check, p, cap = args
+    return run_reproduction_check(check, p, cap)
 
 
-def _spectrum_worker(args) -> dict:
-    spec_plain, p, cap, timings = args
+def _spectrum_worker(args) -> TheoremReport:
+    spec_plain, p, cap = args
     spec = ConstructionSpec.from_plain(spec_plain)
-    return spectrum_corpus_report(spec, p, cap).to_record(timings)
+    return spectrum_corpus_report(spec, p, cap)
 
 
-def _map_jobs(worker, args_list, jobs: int) -> list[dict]:
+def _map_jobs(worker, args_list, jobs: int) -> list[TheoremReport]:
     """Run the worker over every argument tuple, preserving list order."""
     if jobs <= 1 or len(args_list) <= 1:
         return [worker(args) for args in args_list]
@@ -236,50 +230,30 @@ def _run_product(cfg: RunConfig) -> list[dict]:
     }]
 
 
+def _records(reports: list[TheoremReport], cfg: RunConfig) -> list[dict]:
+    return [r.to_record(cfg.timings) for r in reports]
+
+
 def _run_verify(cfg: RunConfig) -> list[dict]:
     if cfg.group:
         g, desc = load_group(cfg.group, cfg.cap)
-        if cfg.theorem == "a":
-            report = verify_theorem_a(g, cfg.p, desc)
-        elif cfg.theorem == "b":
-            report = verify_theorem_b(g, cfg.p, desc)
-        else:
-            report = verify_size_two(g, cfg.p, desc)
-        return [report.to_record(cfg.timings)]
-    specs = corpus(cfg.p, cfg.max_order)
-    args = [(cfg.theorem, spec.to_plain(), cfg.p, cfg.cap, cfg.timings)
-            for spec in specs]
-    return _map_jobs(_corpus_verify_worker, args, cfg.jobs)
+        return _records([verify_group(cfg.theorem, g, cfg.p, desc)], cfg)
+    args = [(cfg.theorem, spec.to_plain(), cfg.p, cfg.cap)
+            for spec in corpus(cfg.p, cfg.max_order)]
+    return _records(_map_jobs(_corpus_verify_worker, args, cfg.jobs), cfg)
 
 
 def _run_reproduce(cfg: RunConfig) -> list[dict]:
-    plan = reproduction_plan(cfg.p)
-    runnable = [name for name, _, spec in plan
-                if predicted_order(spec) <= cfg.cap]
-    if not runnable:
-        smallest = min(predicted_order(spec) for _, _, spec in plan)
-        raise EnumerationCapError(
-            f"every reproduction at p={cfg.p} needs a group of order at "
-            f"least {smallest}, above the cap {cfg.cap}")
-    args = [(name, cfg.p, cfg.cap, cfg.timings) for name in runnable]
-    return _map_jobs(_reproduction_worker, args, cfg.jobs)
+    args = [(name, cfg.p, cfg.cap)
+            for name in runnable_reproductions(cfg.p, cfg.cap)]
+    return _records(_map_jobs(_reproduction_worker, args, cfg.jobs), cfg)
 
 
 def _run_spectrum(cfg: RunConfig) -> list[dict]:
-    specs = corpus(cfg.p, cfg.max_order)
-    args = [(spec.to_plain(), cfg.p, cfg.cap, cfg.timings) for spec in specs]
-    records = _map_jobs(_spectrum_worker, args, cfg.jobs)
-    kept = []
-    for record in records:
-        kept.append(record)
-        if record["violations"]:
-            raise TheoremViolationError(
-                f"gap violation: eta={record['violations'][0]['eta']} "
-                f"observed with 1 < eta < {(cfg.p + 1) // 2}", records=kept)
-    reports = [parse_report_record(r) for r in kept]
-    merged = merge_spectrum_reports(cfg.p, cfg.max_order, reports)
-    kept.append(merged.to_record(cfg.timings))
-    return kept
+    args = [(spec.to_plain(), cfg.p, cfg.cap)
+            for spec in corpus(cfg.p, cfg.max_order)]
+    reports = _map_jobs(_spectrum_worker, args, cfg.jobs)
+    return _records(collect_spectrum(cfg.p, cfg.max_order, reports), cfg)
 
 
 def _run_inspect(cfg: RunConfig) -> list[dict]:

@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import (
-    EvenPrimeError,
     ForeignElementError,
     InvalidParameterError,
-    InvalidPrimeError,
     UnsupportedRoleError,
 )
 from .groups import (
@@ -30,7 +28,7 @@ from .groups import (
     PermutationGroup,
     center,
 )
-from .util import int_byte_width, is_prime
+from .util import _require_odd_prime, _require_prime, int_byte_width
 
 KINDS = (
     "cyclic",
@@ -133,17 +131,6 @@ class ConstructionSpec:
 
 # ----------------------------------------------------------------------
 # spec validation and order prediction
-
-def _require_prime(p, what: str) -> None:
-    if not isinstance(p, int) or not is_prime(p):
-        raise InvalidPrimeError(f"{what} requires a prime p, got {p!r}")
-
-
-def _require_odd_prime(p, what: str) -> None:
-    _require_prime(p, what)
-    if p == 2:
-        raise EvenPrimeError(f"{what} requires an odd prime p, got 2")
-
 
 def validate_spec(spec: ConstructionSpec) -> None:
     kind = spec.kind

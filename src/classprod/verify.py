@@ -25,10 +25,14 @@ Labels used in reports:
 
 from __future__ import annotations
 
+import itertools
+import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable
 
 from .classes import (
+    ClassDecomposition,
     ConjugacyClass,
     as_subgroup,
     class_partition,
@@ -45,15 +49,13 @@ from .constructions import (
 )
 from .errors import (
     EnumerationCapError,
-    EvenPrimeError,
     FormatError,
     InvalidParameterError,
-    InvalidPrimeError,
     NotAPGroupError,
     TheoremViolationError,
 )
 from .groups import DEFAULT_ORDER_CAP, Element, GroupHandle
-from .util import is_prime
+from .util import _require_odd_prime
 
 THEOREM_LABELS = ("A", "B", "Prop2.1", "Prop4.1", "Prop4.3", "Remark4.2")
 SPECTRUM_LABEL = "spectrum"
@@ -161,13 +163,6 @@ def _ms(t0: float) -> int:
     return max(0, round((time.perf_counter() - t0) * 1000))
 
 
-def _require_odd_prime(p, where: str) -> None:
-    if not isinstance(p, int) or not is_prime(p):
-        raise InvalidPrimeError(f"{where} needs a prime p, got {p!r}")
-    if p == 2:
-        raise EvenPrimeError(f"{where} needs an odd prime p, got 2")
-
-
 def _require_p_group(g: GroupHandle, p: int) -> None:
     order = g.order
     while order % p == 0:
@@ -183,27 +178,69 @@ def _descriptor(g: GroupHandle, given: dict | None) -> dict:
     return {"kind": "opaque", "backend": g.backend, "order": g.order}
 
 
+def _sweep(theorem: str, p: int | None, desc: dict,
+           pairs: Iterable[tuple[ConjugacyClass, ConjugacyClass]],
+           rule: Callable[[ConjugacyClass, ConjugacyClass,
+                           ClassDecomposition], str | None],
+           t0: float) -> TheoremReport:
+    """The one class-pair loop every checker runs.
+
+    Decomposes each pair's product once, tallies eta with the first
+    witness in scan order, and records a violation whenever ``rule``
+    returns the expected-text of a constraint the pair escapes.
+    """
+    counts: dict[int, int] = {}
+    witnesses: dict[int, tuple[str, str]] = {}
+    violations = []
+    scanned = 0
+    for x, y in pairs:
+        scanned += 1
+        d = class_product(x, y)
+        eta = d.eta
+        if eta in counts:
+            counts[eta] += 1
+        else:
+            counts[eta] = 1
+            witnesses[eta] = (x.representative.hex(), y.representative.hex())
+        expected = rule(x, y, d)
+        if expected is not None:
+            violations.append(Violation(
+                x.representative.hex(), y.representative.hex(), eta,
+                expected))
+    spectrum = {value: SpectrumEntry(counts[value], desc, *witnesses[value])
+                for value in counts}
+    return TheoremReport(theorem, desc, p, scanned, violations, spectrum,
+                         _ms(t0))
+
+
+def spectrum_for_group(g: GroupHandle, p: int,
+                       group_desc: dict | None = None) -> TheoremReport:
+    """Tally eta over all ordered pairs of size-p classes of one group.
+
+    The group is a p-group, hence nilpotent, so any eta strictly between
+    1 and (p+1)/2 is recorded as a violation (it would falsify the gap).
+    """
+    t0 = time.perf_counter()
+    _require_odd_prime(p, "the size-p pair sweep")
+    _require_p_group(g, p)
+    bound = (p + 1) // 2
+    expected = f"eta=1 or eta>={bound}"
+    sized = class_partition(g).classes_of_size(p)
+    return _sweep(SPECTRUM_LABEL, p, _descriptor(g, group_desc),
+                  itertools.product(sized, repeat=2),
+                  lambda x, y, d: expected if 1 < d.eta < bound else None,
+                  t0)
+
+
 def verify_theorem_a(g: GroupHandle, p: int,
                      group_desc: dict | None = None) -> TheoremReport:
     """Sweep all ordered pairs of size-p classes for the eta gap.
 
-    Records a violation whenever 1 < eta < (p+1)/2.
+    The spectrum sweep under label A: a violation whenever
+    1 < eta < (p+1)/2, and no tally in the report.
     """
-    t0 = time.perf_counter()
-    _require_odd_prime(p, "the size-p pair check")
-    _require_p_group(g, p)
-    bound = (p + 1) // 2
-    sized = class_partition(g).classes_of_size(p)
-    violations = []
-    for x in sized:
-        for y in sized:
-            d = class_product(x, y)
-            if d.eta != 1 and d.eta < bound:
-                violations.append(Violation(
-                    x.representative.hex(), y.representative.hex(), d.eta,
-                    f"eta=1 or eta>={bound}"))
-    return TheoremReport("A", _descriptor(g, group_desc), p,
-                         len(sized) ** 2, violations, {}, _ms(t0))
+    return replace(spectrum_for_group(g, p, group_desc), theorem="A",
+                   spectrum={})
 
 
 def verify_theorem_b(g: GroupHandle, p: int,
@@ -218,26 +255,23 @@ def verify_theorem_b(g: GroupHandle, p: int,
     _require_odd_prime(p, "the class-square check")
     _require_p_group(g, p)
     bound = (p + 1) // 2
-    sized = class_partition(g).classes_of_size(p)
-    violations = []
-    for x in sized:
-        d = class_product(x, x)
-        a = x.representative
-        ahex = a.hex()
+
+    def rule(x, _y, d):
         if d.eta == 1:
+            a = x.representative
             ka = commutator_set(g, a).elements
             ka2 = commutator_set(g, g.power(a, 2)).elements
             view = as_subgroup(g, ka) if ka == ka2 else None
             if view is None or not view.is_normal:
-                violations.append(Violation(
-                    ahex, ahex, d.eta,
-                    "eta=1 forces [a,G]=[a^2,G], a normal subgroup"))
+                return "eta=1 forces [a,G]=[a^2,G], a normal subgroup"
         elif not (d.eta == bound and all(c.size == p for c in d.classes)):
-            violations.append(Violation(
-                ahex, ahex, d.eta,
-                f"eta=1, or eta={bound} with all classes of size {p}"))
-    return TheoremReport("B", _descriptor(g, group_desc), p,
-                         len(sized), violations, {}, _ms(t0))
+            return f"eta=1, or eta={bound} with all classes of size {p}"
+        return None
+
+    sized = class_partition(g).classes_of_size(p)
+    report = _sweep("B", p, _descriptor(g, group_desc),
+                    ((x, x) for x in sized), rule, t0)
+    return replace(report, spectrum={})
 
 
 def verify_size_two(g: GroupHandle, p: int | None = None,
@@ -245,16 +279,12 @@ def verify_size_two(g: GroupHandle, p: int | None = None,
     """Sweep all ordered pairs of size-2 classes: eta must be 1 or 2."""
     t0 = time.perf_counter()
     sized = class_partition(g).classes_of_size(2)
-    violations = []
-    for x in sized:
-        for y in sized:
-            d = class_product(x, y)
-            if d.eta not in (1, 2):
-                violations.append(Violation(
-                    x.representative.hex(), y.representative.hex(), d.eta,
-                    "eta in {1, 2}"))
-    return TheoremReport("Prop2.1", _descriptor(g, group_desc), p,
-                         len(sized) ** 2, violations, {}, _ms(t0))
+    report = _sweep("Prop2.1", p, _descriptor(g, group_desc),
+                    itertools.product(sized, repeat=2),
+                    lambda x, y, d: (None if d.eta in (1, 2)
+                                     else "eta in {1, 2}"),
+                    t0)
+    return replace(report, spectrum={})
 
 
 # ----------------------------------------------------------------------
@@ -330,9 +360,9 @@ def run_reproduction_check(check: str, p: int,
                          _ms(t0))
 
 
-def reproduce_examples(p: int,
-                       order_cap: int = DEFAULT_ORDER_CAP) -> list[TheoremReport]:
-    """Run every worked-example reproduction that fits under the cap.
+def runnable_reproductions(p: int,
+                           order_cap: int = DEFAULT_ORDER_CAP) -> list[str]:
+    """Names of the worked-example checks whose group fits under the cap.
 
     Checks whose group would exceed the enumeration cap are skipped
     silently as long as at least one check fits; if none fits the whole
@@ -347,58 +377,36 @@ def reproduce_examples(p: int,
         raise EnumerationCapError(
             f"every reproduction at p={p} needs a group of order at least "
             f"{smallest}, above the cap {order_cap}")
-    return [run_reproduction_check(name, p, order_cap) for name in runnable]
+    return runnable
+
+
+def reproduce_examples(p: int,
+                       order_cap: int = DEFAULT_ORDER_CAP) -> list[TheoremReport]:
+    """Run every worked-example reproduction that fits under the cap."""
+    return [run_reproduction_check(name, p, order_cap)
+            for name in runnable_reproductions(p, order_cap)]
 
 
 # ----------------------------------------------------------------------
 # corpus sweeps and the eta spectrum
 
+_CHECKERS = {"a": verify_theorem_a, "b": verify_theorem_b,
+             "size2": verify_size_two}
+
+
+def verify_group(theorem: str, g: GroupHandle, p: int | None,
+                 group_desc: dict | None = None) -> TheoremReport:
+    """Run the checker named by a selector (a, b or size2) over one group."""
+    if theorem not in _CHECKERS:
+        raise InvalidParameterError(
+            f"unknown theorem selector {theorem!r}; expected a, b or size2")
+    return _CHECKERS[theorem](g, p, group_desc)
+
+
 def corpus_theorem_report(theorem: str, spec: ConstructionSpec, p: int,
                           order_cap: int = DEFAULT_ORDER_CAP) -> TheoremReport:
     """Run one theorem checker over one corpus group."""
-    g = build(spec, order_cap)
-    desc = spec.to_plain()
-    if theorem == "a":
-        return verify_theorem_a(g, p, desc)
-    if theorem == "b":
-        return verify_theorem_b(g, p, desc)
-    if theorem == "size2":
-        return verify_size_two(g, p, desc)
-    raise InvalidParameterError(
-        f"unknown theorem selector {theorem!r}; expected a, b or size2")
-
-
-def spectrum_for_group(g: GroupHandle, p: int,
-                       group_desc: dict | None = None) -> TheoremReport:
-    """Tally eta over all ordered pairs of size-p classes of one group.
-
-    The group is a p-group, hence nilpotent, so any eta strictly between
-    1 and (p+1)/2 is recorded as a violation (it would falsify the gap).
-    """
-    t0 = time.perf_counter()
-    _require_odd_prime(p, "the spectrum sweep")
-    _require_p_group(g, p)
-    desc = _descriptor(g, group_desc)
-    bound = (p + 1) // 2
-    sized = class_partition(g).classes_of_size(p)
-    counts: dict[int, int] = {}
-    witnesses: dict[int, tuple[str, str]] = {}
-    violations = []
-    for x in sized:
-        for y in sized:
-            d = class_product(x, y)
-            counts[d.eta] = counts.get(d.eta, 0) + 1
-            if d.eta not in witnesses:
-                witnesses[d.eta] = (x.representative.hex(),
-                                    y.representative.hex())
-            if 1 < d.eta < bound:
-                violations.append(Violation(
-                    x.representative.hex(), y.representative.hex(), d.eta,
-                    f"eta=1 or eta>={bound}"))
-    spectrum = {value: SpectrumEntry(counts[value], desc, *witnesses[value])
-                for value in counts}
-    return TheoremReport(SPECTRUM_LABEL, desc, p, len(sized) ** 2,
-                         violations, spectrum, _ms(t0))
+    return verify_group(theorem, build(spec, order_cap), p, spec.to_plain())
 
 
 def spectrum_corpus_report(spec: ConstructionSpec, p: int,
@@ -435,26 +443,38 @@ def merge_spectrum_reports(p: int, max_order: int,
         p, scanned, [], merged, elapsed)
 
 
+def collect_spectrum(p: int, max_order: int,
+                     reports: Iterable[TheoremReport]) -> list[TheoremReport]:
+    """Per-group spectrum reports in corpus order, plus the merged tally.
+
+    ``reports`` is consumed lazily.  If a group contradicts the gap (eta
+    strictly between 1 and (p+1)/2), consumption stops at that group and
+    the run aborts with the records so far attached to the raised error.
+    """
+    kept = []
+    for report in reports:
+        kept.append(report)
+        if report.violations:
+            raise TheoremViolationError(
+                f"gap violation: group "
+                f"{json.dumps(report.group, sort_keys=True)} attains eta="
+                f"{report.violations[0].eta} with 1 < eta < {(p + 1) // 2}",
+                records=[r.to_record() for r in kept])
+    kept.append(merge_spectrum_reports(p, max_order, kept))
+    return kept
+
+
 def eta_spectrum(p: int, max_order: int,
                  order_cap: int = DEFAULT_ORDER_CAP) -> list[TheoremReport]:
     """Per-group spectrum reports over the corpus, plus the merged tally.
 
-    If a group contradicts the gap (eta strictly between 1 and (p+1)/2),
-    scanning stops at that group and the run aborts with the
-    counterexample records attached to the raised error.
+    Scanning stops at the first group that contradicts the gap; see
+    :func:`collect_spectrum`.
     """
     _require_odd_prime(p, "the spectrum sweep")
-    reports = []
-    for spec in corpus(p, max_order):
-        report = spectrum_corpus_report(spec, p, order_cap)
-        reports.append(report)
-        if report.violations:
-            raise TheoremViolationError(
-                f"gap violation: group {spec} attains eta="
-                f"{report.violations[0].eta} with 1 < eta < {(p + 1) // 2}",
-                records=[r.to_record() for r in reports])
-    reports.append(merge_spectrum_reports(p, max_order, reports))
-    return reports
+    return collect_spectrum(p, max_order, (
+        spectrum_corpus_report(spec, p, order_cap)
+        for spec in corpus(p, max_order)))
 
 
 def verify_corpus(theorem: str, p: int, max_order: int,

@@ -1,9 +1,12 @@
 """Verifiers, reproduction checks, reports, and the eta spectrum."""
 
 import json
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+import classprod.verify as verify_mod
 from classprod import (
     ConstructionSpec,
     EnumerationCapError,
@@ -11,10 +14,12 @@ from classprod import (
     FormatError,
     InvalidParameterError,
     NotAPGroupError,
+    TheoremViolationError,
     build,
     class_partition,
     conjugacy_class,
     eta,
+    corpus,
     eta_spectrum,
     parse_report_record,
     reproduce_examples,
@@ -22,6 +27,7 @@ from classprod import (
     verify_theorem_a,
     verify_theorem_b,
 )
+from classprod.cli import main
 from classprod.verify import (
     REPRODUCTION_CHECKS,
     SPECTRUM_LABEL,
@@ -33,6 +39,8 @@ from classprod.verify import (
     spectrum_for_group,
     verify_corpus,
 )
+
+from conftest import brute_class_partition, brute_eta
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +314,51 @@ def test_spectrum_small_p5_corpus_values():
     merged = reports[-1]
     assert set(merged.spectrum) == {1, 5}
     assert all(r.consistent for r in reports)
+
+
+def test_spectrum_matches_brute_force_tally():
+    # the sweep kernel against full-sweep classes and a full-sweep eta
+    for spec in corpus(3, 81):
+        g = build(spec)
+        sized = [next(iter(c)) for c in brute_class_partition(g)
+                 if len(c) == 3]
+        expected = Counter(brute_eta(g, a, b) for a in sized for b in sized)
+        report = spectrum_for_group(g, 3)
+        counts = {e: entry.count for e, entry in report.spectrum.items()}
+        assert counts == dict(expected), spec
+        assert report.pairs_checked == len(sized) ** 2
+
+
+def test_spectrum_stops_at_the_first_gap_violation(monkeypatch, capsys):
+    # Fake eta = 2 (inside the p = 5 gap) on every pair of the order-125
+    # extraspecial group, the only order-125 corpus group with size-5
+    # classes; one more corpus group follows it.
+    specs = corpus(5, 625)
+    target = ConstructionSpec(kind="extraspecial-exponent-p", p=5, l=1)
+    stop = specs.index(target)
+    assert stop < len(specs) - 1
+    real = verify_mod.class_product
+    swept = []
+
+    def fake(x, y):
+        swept.append(x.group.order)
+        if x.group.order == 125:
+            return SimpleNamespace(eta=2)
+        return real(x, y)
+
+    monkeypatch.setattr(verify_mod, "class_product", fake)
+    with pytest.raises(TheoremViolationError) as info:
+        eta_spectrum(5, 625)
+    records = info.value.records
+    assert [r["group"] for r in records] == [
+        s.to_plain() for s in specs[:stop + 1]]
+    assert all(not r["violations"] for r in records[:-1])
+    assert {v["eta"] for v in records[-1]["violations"]} == {2}
+    assert set(swept) == {125}  # the later group was never swept
+
+    assert main(["spectrum", "--p", "5", "--max-order", "625"]) == 2
+    out = capsys.readouterr().out
+    assert [json.loads(line) for line in out.splitlines()] == records
 
 
 @pytest.mark.slow
