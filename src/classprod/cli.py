@@ -25,7 +25,9 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
+from typing import Iterator
 
 from .classes import class_partition, class_product, conjugacy_class
 from .constructions import ConstructionSpec, corpus
@@ -195,12 +197,23 @@ def _spectrum_worker(args) -> TheoremReport:
     return spectrum_corpus_report(spec, p, cap)
 
 
-def _map_jobs(worker, args_list, jobs: int) -> list[TheoremReport]:
-    """Run the worker over every argument tuple, preserving list order."""
+def _map_jobs(worker, args_list, jobs: int) -> Iterator[TheoremReport]:
+    """Yield the worker's result for each argument tuple, in list order.
+
+    Lazy on both paths, so a consumer that stops early stops the work:
+    the serial path runs no further worker, and the pool cancels every
+    task not yet started once the generator is closed.
+    """
     if jobs <= 1 or len(args_list) <= 1:
-        return [worker(args) for args in args_list]
+        yield from map(worker, args_list)
+        return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, args_list))
+        futures = [pool.submit(worker, args) for args in args_list]
+        try:
+            for future in futures:
+                yield future.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 # ----------------------------------------------------------------------
@@ -240,20 +253,22 @@ def _run_verify(cfg: RunConfig) -> list[dict]:
         return _records([verify_group(cfg.theorem, g, cfg.p, desc)], cfg)
     args = [(cfg.theorem, spec.to_plain(), cfg.p, cfg.cap)
             for spec in corpus(cfg.p, cfg.max_order)]
-    return _records(_map_jobs(_corpus_verify_worker, args, cfg.jobs), cfg)
+    return _records(list(_map_jobs(_corpus_verify_worker, args, cfg.jobs)),
+                    cfg)
 
 
 def _run_reproduce(cfg: RunConfig) -> list[dict]:
     args = [(name, cfg.p, cfg.cap)
             for name in runnable_reproductions(cfg.p, cfg.cap)]
-    return _records(_map_jobs(_reproduction_worker, args, cfg.jobs), cfg)
+    return _records(list(_map_jobs(_reproduction_worker, args, cfg.jobs)),
+                    cfg)
 
 
 def _run_spectrum(cfg: RunConfig) -> list[dict]:
     args = [(spec.to_plain(), cfg.p, cfg.cap)
             for spec in corpus(cfg.p, cfg.max_order)]
-    reports = _map_jobs(_spectrum_worker, args, cfg.jobs)
-    return _records(collect_spectrum(cfg.p, cfg.max_order, reports), cfg)
+    with closing(_map_jobs(_spectrum_worker, args, cfg.jobs)) as reports:
+        return _records(collect_spectrum(cfg.p, cfg.max_order, reports), cfg)
 
 
 def _run_inspect(cfg: RunConfig) -> list[dict]:

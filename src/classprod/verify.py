@@ -25,7 +25,6 @@ Labels used in reports:
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -178,39 +177,81 @@ def _descriptor(g: GroupHandle, given: dict | None) -> dict:
     return {"kind": "opaque", "backend": g.backend, "order": g.order}
 
 
-def _sweep(theorem: str, p: int | None, desc: dict,
-           pairs: Iterable[tuple[ConjugacyClass, ConjugacyClass]],
+def _sweep(theorem: str, p: int | None, desc: dict, g: GroupHandle,
+           size: int, square: bool,
            rule: Callable[[ConjugacyClass, ConjugacyClass,
                            ClassDecomposition], str | None],
            t0: float) -> TheoremReport:
     """The one class-pair loop every checker runs.
 
-    Decomposes each pair's product once, tallies eta with the first
-    witness in scan order, and records a violation whenever ``rule``
-    returns the expected-text of a constraint the pair escapes.
+    Covers every ordered pair (x, y) of size-``size`` classes of ``g``
+    when ``square`` is set, else every pair (x, x), in scan order: by
+    position of x, then of y, in the partition's representative order.
+    It tallies eta with the first witness in scan order and records a
+    violation whenever ``rule`` returns the expected-text of a
+    constraint the pair escapes; ``pairs_checked`` counts the pairs
+    covered.
+
+    Two exact identities let one product stand for many pairs.  For
+    central z1, z2, (x z1)^G (y z2)^G = x^G y^G z1 z2, so eta is constant
+    on each block O_i x O_j of Z-orbits of classes; and x^G y^G =
+    y^G x^G, so a square sweep takes only the blocks with i <= j.  Each
+    block is decomposed once, on its two orbit leaders (the least class
+    of each orbit), and counted with its weight in ordered pairs.  So
+    ``rule`` must be invariant under central translation of either
+    class, and for square sweeps under swapping them.  A block the rule
+    rejects is expanded into one violation per pair it covers.
     """
+    part = class_partition(g)
+    sized = part.classes_of_size(size)
+    index_of = part._index_of
+    slot = {index_of[c._rep_raw]: k for k, c in enumerate(sized)}
+    center = [c._rep_raw for c in part.classes if c.size == 1]
+    mul = g._mul
+    # Classes are in ascending order, so each orbit is met at its leader.
+    orbits: list[list[int]] = []
+    placed: set[int] = set()
+    for k, c in enumerate(sized):
+        if k not in placed:
+            orbit = sorted({slot[index_of[mul(c._rep_raw, z)]]
+                            for z in center})
+            placed.update(orbit)
+            orbits.append(orbit)
+
     counts: dict[int, int] = {}
     witnesses: dict[int, tuple[str, str]] = {}
-    violations = []
-    scanned = 0
-    for x, y in pairs:
-        scanned += 1
-        d = class_product(x, y)
-        eta = d.eta
-        if eta in counts:
-            counts[eta] += 1
-        else:
-            counts[eta] = 1
-            witnesses[eta] = (x.representative.hex(), y.representative.hex())
-        expected = rule(x, y, d)
-        if expected is not None:
-            violations.append(Violation(
-                x.representative.hex(), y.representative.hex(), eta,
-                expected))
+    bad: list[tuple[int, int, int, str]] = []
+    for i, oi in enumerate(orbits):
+        x = sized[oi[0]]
+        for j in range(i, len(orbits)) if square else (i,):
+            oj = orbits[j]
+            y = sized[oj[0]]
+            d = class_product(x, y)
+            eta = d.eta
+            # Blocks are visited in scan order of their least pair, so the
+            # first block with a given eta holds its first witness.
+            if eta not in counts:
+                witnesses[eta] = (x.representative.hex(),
+                                  y.representative.hex())
+            weight = (len(oi) * len(oj) * (1 if i == j else 2) if square
+                      else len(oi))
+            counts[eta] = counts.get(eta, 0) + weight
+            expected = rule(x, y, d)
+            if expected is not None:
+                if square:
+                    pairs = [(a, b) for a in oi for b in oj]
+                    if i != j:
+                        pairs += [(b, a) for a, b in pairs]
+                else:
+                    pairs = [(a, a) for a in oi]
+                bad.extend((a, b, eta, expected) for a, b in pairs)
+    violations = [Violation(sized[a].representative.hex(),
+                            sized[b].representative.hex(), eta, expected)
+                  for a, b, eta, expected in sorted(bad)]
     spectrum = {value: SpectrumEntry(counts[value], desc, *witnesses[value])
                 for value in counts}
-    return TheoremReport(theorem, desc, p, scanned, violations, spectrum,
-                         _ms(t0))
+    return TheoremReport(theorem, desc, p, sum(counts.values()), violations,
+                         spectrum, _ms(t0))
 
 
 def spectrum_for_group(g: GroupHandle, p: int,
@@ -225,9 +266,7 @@ def spectrum_for_group(g: GroupHandle, p: int,
     _require_p_group(g, p)
     bound = (p + 1) // 2
     expected = f"eta=1 or eta>={bound}"
-    sized = class_partition(g).classes_of_size(p)
-    return _sweep(SPECTRUM_LABEL, p, _descriptor(g, group_desc),
-                  itertools.product(sized, repeat=2),
+    return _sweep(SPECTRUM_LABEL, p, _descriptor(g, group_desc), g, p, True,
                   lambda x, y, d: expected if 1 < d.eta < bound else None,
                   t0)
 
@@ -268,9 +307,8 @@ def verify_theorem_b(g: GroupHandle, p: int,
             return f"eta=1, or eta={bound} with all classes of size {p}"
         return None
 
-    sized = class_partition(g).classes_of_size(p)
-    report = _sweep("B", p, _descriptor(g, group_desc),
-                    ((x, x) for x in sized), rule, t0)
+    report = _sweep("B", p, _descriptor(g, group_desc), g, p, False, rule,
+                    t0)
     return replace(report, spectrum={})
 
 
@@ -278,9 +316,7 @@ def verify_size_two(g: GroupHandle, p: int | None = None,
                     group_desc: dict | None = None) -> TheoremReport:
     """Sweep all ordered pairs of size-2 classes: eta must be 1 or 2."""
     t0 = time.perf_counter()
-    sized = class_partition(g).classes_of_size(2)
-    report = _sweep("Prop2.1", p, _descriptor(g, group_desc),
-                    itertools.product(sized, repeat=2),
+    report = _sweep("Prop2.1", p, _descriptor(g, group_desc), g, 2, True,
                     lambda x, y, d: (None if d.eta in (1, 2)
                                      else "eta in {1, 2}"),
                     t0)

@@ -9,13 +9,18 @@ these slow but obviously correct computations.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+import classprod.verify as verify_mod
 from classprod import (
     ConstructionSpec,
     Element,
     build,
+    class_partition,
 )
+from classprod.verify import SpectrumEntry, TheoremReport, Violation
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +73,42 @@ def brute_eta(g, a: Element, b: Element) -> int:
         product -= brute_class(g, x)
         count += 1
     return count
+
+
+def pair_sweep(theorem, p, desc, g, size, square, rule, t0):
+    """Per-pair reference for ``verify._sweep``, with the same signature.
+
+    Decomposes every covered pair in scan order, one product each, with
+    neither central translates nor symmetry.  Unlike the oracles above it
+    reuses the library's partition and products, since it checks only
+    the kernel's two reductions.  The product is looked up
+    on the ``verify`` module at call time, as the kernel does, so a test
+    that fakes it there fakes it for both.
+    """
+    sized = class_partition(g).classes_of_size(size)
+    pairs = (itertools.product(sized, repeat=2) if square
+             else ((x, x) for x in sized))
+    counts: dict[int, int] = {}
+    witnesses: dict[int, tuple[str, str]] = {}
+    violations = []
+    scanned = 0
+    for x, y in pairs:
+        scanned += 1
+        d = verify_mod.class_product(x, y)
+        if d.eta in counts:
+            counts[d.eta] += 1
+        else:
+            counts[d.eta] = 1
+            witnesses[d.eta] = (x.representative.hex(),
+                                y.representative.hex())
+        expected = rule(x, y, d)
+        if expected is not None:
+            violations.append(Violation(
+                x.representative.hex(), y.representative.hex(), d.eta,
+                expected))
+    spectrum = {value: SpectrumEntry(counts[value], desc, *witnesses[value])
+                for value in counts}
+    return TheoremReport(theorem, desc, p, scanned, violations, spectrum)
 
 
 def brute_quadratic_image(r: int, s: int, t: int, p: int) -> frozenset[int]:

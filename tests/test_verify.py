@@ -40,7 +40,7 @@ from classprod.verify import (
     verify_corpus,
 )
 
-from conftest import brute_class_partition, brute_eta
+from conftest import brute_class_partition, brute_eta, pair_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +329,62 @@ def test_spectrum_matches_brute_force_tally():
         assert report.pairs_checked == len(sized) ** 2
 
 
+ORACLE_GROUPS = ([(3, spec) for spec in corpus(3, 729)]
+                 + [(5, spec) for spec in corpus(5, 625)])
+
+
+@pytest.mark.parametrize("p,spec", ORACLE_GROUPS,
+                         ids=[f"p{p}-{spec}" for p, spec in ORACLE_GROUPS])
+def test_sweep_matches_per_pair_oracle(p, spec, monkeypatch):
+    # counts, witnesses, violations and pairs_checked of the block sweep
+    # against one product per ordered pair
+    g = build(spec)
+    desc = spec.to_plain()
+    checkers = (spectrum_for_group, verify_theorem_a, verify_theorem_b)
+    fast = [check(g, p, desc).to_record() for check in checkers]
+    monkeypatch.setattr(verify_mod, "_sweep", pair_sweep)
+    assert [check(g, p, desc).to_record() for check in checkers] == fast
+
+
+@pytest.mark.parametrize("spec", [
+    ConstructionSpec(kind="dihedral", n=16),
+    # 12 size-2 classes in 3 orbits under its centre of order 8
+    ConstructionSpec(kind="direct-product", factors=(
+        ConstructionSpec(kind="dihedral", n=8),
+        ConstructionSpec(kind="cyclic", n=4))),
+], ids=["D16", "D8xC4"])
+def test_size_two_sweep_matches_per_pair_oracle(spec, monkeypatch):
+    g = build(spec)
+    fast = verify_size_two(g).to_record()
+    monkeypatch.setattr(verify_mod, "_sweep", pair_sweep)
+    assert verify_size_two(g).to_record() == fast
+
+
+def test_violations_expand_in_scan_order(monkeypatch):
+    # ES(5,1) x C5 has 120 size-5 classes in 24 orbits under its centre.
+    # Relabelling every real eta = 1 as 2 puts whole blocks inside the
+    # gap, so each must be expanded pair by pair, both orientations
+    # included, and the violations merged in scan order.
+    g = build(ConstructionSpec(kind="direct-product", factors=(
+        ConstructionSpec(kind="extraspecial-exponent-p", p=5, l=1),
+        ConstructionSpec(kind="cyclic", n=5))))
+    assert len(class_partition(g).classes_of_size(5)) == 120
+    real = verify_mod.class_product
+
+    def fake(x, y):
+        d = real(x, y)
+        return SimpleNamespace(eta=2 if d.eta == 1 else d.eta,
+                               classes=d.classes)
+
+    monkeypatch.setattr(verify_mod, "class_product", fake)
+    fast = spectrum_for_group(g, 5)
+    monkeypatch.setattr(verify_mod, "_sweep", pair_sweep)
+    oracle = spectrum_for_group(g, 5)
+    assert fast.violations == oracle.violations
+    assert len(fast.violations) == fast.spectrum[2].count > 120
+    assert any(v.a > v.b for v in fast.violations)
+
+
 def test_spectrum_stops_at_the_first_gap_violation(monkeypatch, capsys):
     # Fake eta = 2 (inside the p = 5 gap) on every pair of the order-125
     # extraspecial group, the only order-125 corpus group with size-5
@@ -356,12 +412,14 @@ def test_spectrum_stops_at_the_first_gap_violation(monkeypatch, capsys):
     assert {v["eta"] for v in records[-1]["violations"]} == {2}
     assert set(swept) == {125}  # the later group was never swept
 
-    assert main(["spectrum", "--p", "5", "--max-order", "625"]) == 2
+    swept.clear()
+    assert main(["spectrum", "--p", "5", "--max-order", "625",
+                 "--jobs", "1"]) == 2
     out = capsys.readouterr().out
     assert [json.loads(line) for line in out.splitlines()] == records
+    assert set(swept) == {125}
 
 
-@pytest.mark.slow
 def test_spectrum_of_large_wreath_contains_all_documented_values():
     g = build(ConstructionSpec(
         kind="wreath-cyclic", p=5, base=ConstructionSpec(kind="cyclic", n=5)))
