@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
+    EnumerationCapError,
     GroupMismatchError,
     InvalidParameterError,
     NotCentralError,
@@ -58,11 +59,10 @@ class ConjugacyClass:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConjugacyClass):
             return NotImplemented
-        return (self.group._identity_raw == other.group._identity_raw
-                and self._raw == other._raw)
+        return self.group is other.group and self._raw == other._raw
 
     def __hash__(self) -> int:
-        return hash((self.group._identity_raw, self._rep_raw, len(self._raw)))
+        return hash((self._rep_raw, len(self._raw)))
 
     def __repr__(self) -> str:
         return (f"ConjugacyClass(rep={self._rep_raw.hex()}, "
@@ -70,9 +70,14 @@ class ConjugacyClass:
 
 
 def _orbit_raw(g: GroupHandle, seed: bytes) -> frozenset[bytes]:
-    """Conjugation orbit of one raw element under the group generators."""
+    """Conjugation orbit of one raw element under the group generators.
+
+    Raises the cap error once the orbit holds more than ``g.order_cap``
+    elements, so the cap bounds orbits of groups too large to enumerate.
+    """
     pairs = [(gr, g._inv(gr)) for gr in g._generators_raw]
     mul = g._mul
+    cap = g.order_cap
     seen = {seed}
     frontier = [seed]
     while frontier:
@@ -83,6 +88,10 @@ def _orbit_raw(g: GroupHandle, seed: bytes) -> frozenset[bytes]:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
+                    if len(seen) > cap:
+                        raise EnumerationCapError(
+                            f"conjugacy class of {seed.hex()} exceeds the "
+                            f"enumeration cap {cap}")
         frontier = nxt
     return frozenset(seen)
 
@@ -193,14 +202,6 @@ class ClassDecomposition:
         return tuple(c.representative for c in self.classes)
 
 
-def _same_group(g1: GroupHandle, g2: GroupHandle) -> bool:
-    if g1 is g2:
-        return True
-    return (type(g1) is type(g2) and g1.order == g2.order
-            and g1._identity_raw == g2._identity_raw
-            and g1._generators_raw == g2._generators_raw)
-
-
 def _decompose_raw(g: GroupHandle,
                    members: set[bytes]) -> tuple[ConjugacyClass, ...]:
     """Split a raw G-invariant set into classes.
@@ -243,11 +244,20 @@ def class_product(x: ConjugacyClass, y: ConjugacyClass) -> ClassDecomposition:
 
     The product of two classes is G-invariant, so it is a disjoint union
     of classes; they are returned sorted by representative encoding.
+    Both classes must come from the same group handle.  The product set
+    has at most min(|x|*|y|, |G|) elements, and the cap error is raised
+    before it is built when that bound exceeds the group's cap.
     """
-    if not _same_group(x.group, y.group):
+    if x.group is not y.group:
         raise GroupMismatchError(
             "cannot multiply conjugacy classes of different groups")
     g = x.group
+    bound = min(len(x._raw) * len(y._raw), g.order)
+    if bound > g.order_cap:
+        raise EnumerationCapError(
+            f"the product of classes of sizes {len(x._raw)} and "
+            f"{len(y._raw)} may hold {bound} elements, above the "
+            f"enumeration cap {g.order_cap}")
     mul = g._mul
     product = {mul(u, v) for u in x._raw for v in y._raw}
     return ClassDecomposition(g, _decompose_raw(g, product))

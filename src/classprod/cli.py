@@ -34,12 +34,13 @@ from .constructions import ConstructionSpec, corpus
 from .errors import ClassprodError, TheoremViolationError
 from .formats import load_group
 from .groups import DEFAULT_ORDER_CAP, center
+from .util import _require_odd_prime
 from .verify import (
+    REPRODUCTION_CHECKS,
     TheoremReport,
     collect_spectrum,
     corpus_theorem_report,
     run_reproduction_check,
-    runnable_reproductions,
     spectrum_corpus_report,
     verify_group,
 )
@@ -89,9 +90,9 @@ def _add_output_flags(sp) -> None:
 
 def _add_cap_flag(sp) -> None:
     sp.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP,
-                    help="full-enumeration order cap (default "
-                         f"{DEFAULT_ORDER_CAP}); raising it can cost a lot "
-                         "of memory")
+                    help="most elements one enumeration, orbit or class "
+                         f"product may hold (default {DEFAULT_ORDER_CAP}); "
+                         "raising it can cost a lot of memory")
 
 
 def _add_jobs_flags(sp) -> None:
@@ -258,8 +259,8 @@ def _run_verify(cfg: RunConfig) -> list[dict]:
 
 
 def _run_reproduce(cfg: RunConfig) -> list[dict]:
-    args = [(name, cfg.p, cfg.cap)
-            for name in runnable_reproductions(cfg.p, cfg.cap)]
+    _require_odd_prime(cfg.p, "the example reproductions")
+    args = [(name, cfg.p, cfg.cap) for name in REPRODUCTION_CHECKS]
     return _records(list(_map_jobs(_reproduction_worker, args, cfg.jobs)),
                     cfg)
 

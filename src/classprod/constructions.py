@@ -659,8 +659,16 @@ def build(spec: ConstructionSpec,
     return g
 
 
-def _base_seed_element(base_spec: ConstructionSpec, base: GroupHandle,
-                       order_cap: int) -> bytes:
+def _least_noncentral(g: GroupHandle) -> bytes:
+    """The encoding-least element outside the centre of ``g``."""
+    central = center(g)._raw
+    for raw in g._raw_elements():
+        if raw not in central:
+            return raw
+    raise UnsupportedRoleError("an abelian group has no non-central element")
+
+
+def _base_seed_element(base_spec: ConstructionSpec, base: GroupHandle) -> bytes:
     """The base element the wreath roles are built from: a generator of a
     cyclic base, the least non-central element of an extraspecial base."""
     if base_spec.kind == "cyclic":
@@ -668,11 +676,7 @@ def _base_seed_element(base_spec: ConstructionSpec, base: GroupHandle,
             raise UnsupportedRoleError("a trivial base has no seed element")
         return base._generators_raw[0]
     if base_spec.kind == "extraspecial-exponent-p":
-        central = center(base)._raw
-        for raw in base._raw_elements():
-            if raw not in central:
-                return raw
-        raise UnsupportedRoleError("extraspecial base has no non-central element")
+        return _least_noncentral(base)
     raise UnsupportedRoleError(
         f"no seed element defined for wreath base kind {base_spec.kind!r}")
 
@@ -690,7 +694,7 @@ def distinguished_element(spec: ConstructionSpec, role: str,
     kind = spec.kind
     if kind == "wreath-cyclic" and role in ("a-standard", "b-double"):
         base = build(spec.base, order_cap)
-        seed = _base_seed_element(spec.base, base, order_cap)
+        seed = _base_seed_element(spec.base, base)
         count = 1 if role == "a-standard" else 2
         parts = [seed] * count + [base._identity_raw] * (spec.p - count)
         return Element(b"".join(parts) + b"\x00")
@@ -699,11 +703,7 @@ def distinguished_element(spec: ConstructionSpec, role: str,
         values = [1] * count + [0] * (spec.p - count)
         return Element(bytes(values) + bytes([1, 0]))
     if kind == "extraspecial-exponent-p" and role == "noncentral-witness":
-        g = build(spec, order_cap)
-        central = center(g)._raw
-        for raw in g._raw_elements():
-            if raw not in central:
-                return Element(raw)
+        return Element(_least_noncentral(build(spec, order_cap)))
     raise UnsupportedRoleError(
         f"role {role!r} is not defined for construction kind {kind!r}")
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from classprod import (
+    CayleyTableGroup,
     ConstructionSpec,
+    EnumerationCapError,
     EvenPrimeError,
     GroupMismatchError,
     InvalidPrimeError,
@@ -120,6 +122,56 @@ def test_class_product_rejects_mixed_groups(dihedral8, quaternion8):
     xb = conjugacy_class(quaternion8, quaternion8.generators[0])
     with pytest.raises(GroupMismatchError):
         class_product(xa, xb)
+
+
+def test_relabelled_tables_are_different_groups():
+    # Z5 twice, the second with labels 2 and 3 swapped: same order,
+    # identity and generator bytes, but 2*2 is 4 in one and 1 in the other.
+    swap = [0, 1, 3, 2, 4]
+    g1 = CayleyTableGroup([[(i + j) % 5 for j in range(5)]
+                           for i in range(5)])
+    g2 = CayleyTableGroup([[swap[(swap[i] + swap[j]) % 5] for j in range(5)]
+                           for i in range(5)])
+    assert g1.generators == g2.generators
+    two = bytes([2])
+    x1 = conjugacy_class(g1, g1.element(two))
+    x2 = conjugacy_class(g2, g2.element(two))
+    assert x1 != x2
+    assert x1 == conjugacy_class(g1, g1.element(two))
+    assert hash(x1) == hash(x2)
+    with pytest.raises(GroupMismatchError):
+        class_product(x1, x2)
+    with pytest.raises(GroupMismatchError):
+        class_product(x2, x1)
+
+
+# The order-7^36 wreath of C7 over ES(7,2) is far too large to enumerate;
+# the class of its first generator has 49 elements.
+BIG_WREATH = ConstructionSpec(
+    kind="wreath-cyclic", p=7,
+    base=ConstructionSpec(kind="extraspecial-exponent-p", p=7, l=2))
+
+
+def test_orbit_past_the_cap_raises():
+    g = build(BIG_WREATH, order_cap=40)
+    with pytest.raises(EnumerationCapError):
+        conjugacy_class(g, g.generators[0])
+
+
+def test_class_product_past_the_cap_raises():
+    g = build(BIG_WREATH, order_cap=1000)
+    x = conjugacy_class(g, g.generators[0])
+    assert x.size == 49
+    with pytest.raises(EnumerationCapError):
+        class_product(x, x)
+
+
+def test_orbit_and_product_fit_the_default_cap():
+    g = build(BIG_WREATH)
+    x = conjugacy_class(g, g.generators[0])
+    assert x.size == 49
+    d = class_product(x, x)
+    assert sum(d.sizes()) <= 49 * 49
 
 
 @pytest.mark.parametrize("fixture", [

@@ -125,12 +125,21 @@ def test_reproduce_p3_exits_two_with_violation(capsys):
 def test_reproduce_p5_exits_zero(capsys):
     code, records, _ = run_cli(["reproduce", "--p", "5"], capsys)
     assert code == 0
-    assert len(records) == 3
+    assert [r["theorem"] for r in records] == [
+        "Prop4.1", "Prop4.1", "Remark4.2", "Prop4.3"]
     assert all(r["violations"] == [] for r in records)
 
 
-def test_reproduce_p7_is_input_error(capsys):
-    code, records, err = run_cli(["reproduce", "--p", "7"], capsys)
+def test_reproduce_p7_exits_zero(capsys):
+    code, records, _ = run_cli(["reproduce", "--p", "7"], capsys)
+    assert code == 0
+    assert len(records) == 4
+    assert all(r["violations"] == [] for r in records)
+
+
+def test_reproduce_small_cap_is_input_error(capsys):
+    code, records, err = run_cli(["reproduce", "--p", "5", "--cap", "100"],
+                                 capsys)
     assert code == 1
     assert records == []
     assert "enumeration-too-large" in err
@@ -204,10 +213,11 @@ def test_missing_group_file_is_input_error(capsys, tmp_path):
 
 
 def test_even_p_reproduce_is_input_error(capsys):
-    code = main(["reproduce", "--p", "2"])
-    out = capsys.readouterr()
-    assert code == 1
-    assert "even-p" in out.err
+    for jobs in ("1", "2"):
+        code = main(["reproduce", "--p", "2", "--jobs", jobs])
+        out = capsys.readouterr()
+        assert code == 1
+        assert "even-p" in out.err
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 import classprod.verify as verify_mod
 from classprod import (
     ConstructionSpec,
-    EnumerationCapError,
     EvenPrimeError,
     FormatError,
     InvalidParameterError,
@@ -196,17 +195,18 @@ def test_reproduce_p3_shifted_pair_value_is_recomputable(wreath81):
 
 
 def test_reproduce_p5_all_clean():
+    # no check enumerates its group, so the order-5^16 extraspecial-base
+    # wreath runs under the default cap too
     reports = reproduce_examples(5)
-    # the extraspecial-base tower exceeds the default cap and is skipped
-    assert len(reports) == 3
     assert all(r.consistent for r in reports)
     labels = [r.theorem for r in reports]
-    assert labels == ["Prop4.1", "Remark4.2", "Prop4.3"]
+    assert labels == ["Prop4.1", "Prop4.1", "Remark4.2", "Prop4.3"]
 
 
-def test_reproduce_p7_exceeds_default_cap():
-    with pytest.raises(EnumerationCapError):
-        reproduce_examples(7)
+def test_reproduce_p7_all_clean():
+    reports = reproduce_examples(7)
+    assert len(reports) == 4
+    assert all(r.consistent for r in reports)
 
 
 def test_reproduce_rejects_even_p():
