@@ -42,52 +42,75 @@ def _read_text(path: str) -> str:
         raise FormatError(f"{path}: cannot read file: {exc}") from exc
 
 
-def _numeric_lines(text: str, path: str) -> list[tuple[int, list[int]]]:
-    """(line number, parsed integers) for each meaningful line."""
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped text) for each non-blank, non-comment line."""
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        values = []
-        for token in stripped.split():
-            try:
-                values.append(int(token))
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: {token!r} is not an integer") from None
-        out.append((lineno, values))
+        if stripped and not stripped.startswith("#"):
+            out.append((lineno, stripped))
     return out
+
+
+def _int_tokens(line: str, path: str, lineno: int) -> list[int]:
+    values = []
+    for token in line.split():
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise FormatError(
+                f"{path}:{lineno}: {token!r} is not an integer") from None
+    return values
+
+
+def _head_value(lines: list[tuple[int, str]], path: str, what: str) -> int:
+    """The single positive integer on the first meaningful line."""
+    if not lines:
+        raise FormatError(f"{path}: file has no content")
+    head_line, head = lines[0]
+    values = _int_tokens(head, path, head_line)
+    if len(values) != 1 or values[0] < 1:
+        raise FormatError(
+            f"{path}:{head_line}: first line must be the {what}, one positive "
+            "integer")
+    return values[0]
 
 
 def load_cayley_table(path: str,
                       order_cap: int = DEFAULT_ORDER_CAP) -> CayleyTableGroup:
-    """Load and fully validate a multiplication-table file."""
-    rows = _numeric_lines(_read_text(path), path)
-    if not rows:
-        raise FormatError(f"{path}: file has no content")
-    head_line, head = rows[0]
-    if len(head) != 1 or head[0] < 1:
-        raise FormatError(
-            f"{path}:{head_line}: first line must be the order, one positive "
-            "integer")
-    n = head[0]
-    body = rows[1:]
+    """Load and validate a multiplication-table file.
+
+    Each row is parsed in one pass of dictionary lookups keyed by the
+    canonical token text, which also range-checks it and makes every row
+    share the same n integer objects.  A line with any other token
+    (``007``, ``+3``, ``x``, out of range) is parsed again token by token,
+    so it either loads as before or is reported with its line number.
+    """
+    lines = _content_lines(_read_text(path))
+    n = _head_value(lines, path, "order")
+    body = lines[1:]
     if len(body) != n:
         raise FormatError(
             f"{path}: expected {n} table rows after the order line, found "
             f"{len(body)}")
-    for lineno, row in body:
+    lut = {str(i): i for i in range(n)}
+    rows = []
+    for lineno, line in body:
+        try:
+            row = tuple(map(lut.__getitem__, line.split()))
+        except KeyError:
+            row = tuple(_int_tokens(line, path, lineno))
+            for v in row:
+                if not 0 <= v < n:
+                    raise FormatError(
+                        f"{path}:{lineno}: entry {v} outside 0..{n - 1}")
         if len(row) != n:
             raise FormatError(
                 f"{path}:{lineno}: table row has {len(row)} entries, "
                 f"expected {n}")
-        for v in row:
-            if not 0 <= v < n:
-                raise FormatError(
-                    f"{path}:{lineno}: entry {v} outside 0..{n - 1}")
+        rows.append(row)
     try:
-        return CayleyTableGroup([row for _, row in body], order_cap=order_cap)
+        return CayleyTableGroup(rows, order_cap=order_cap)
     except InvalidParameterError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -95,16 +118,10 @@ def load_cayley_table(path: str,
 def load_permutation_group(path: str,
                            order_cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
     """Load generator permutations given as image vectors."""
-    rows = _numeric_lines(_read_text(path), path)
-    if not rows:
-        raise FormatError(f"{path}: file has no content")
-    head_line, head = rows[0]
-    if len(head) != 1 or head[0] < 1:
-        raise FormatError(
-            f"{path}:{head_line}: first line must be the degree, one positive "
-            "integer")
-    degree = head[0]
-    body = rows[1:]
+    lines = _content_lines(_read_text(path))
+    degree = _head_value(lines, path, "degree")
+    body = [(lineno, _int_tokens(line, path, lineno))
+            for lineno, line in lines[1:]]
     if not body:
         raise FormatError(f"{path}: no generator lines after the degree")
     for lineno, row in body:
@@ -131,23 +148,27 @@ def load_construction_spec(path: str) -> ConstructionSpec:
 
 
 def _sniff_kind(text: str, path: str) -> str:
+    """The format of ``text``, from its head line and its token counts.
+
+    Only the head line is parsed as an integer; the body is judged by
+    its row and token counts and left to the loader to parse.
+    """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return "spec"
-    rows = _numeric_lines(text, path)
-    if not rows:
+    lines = _content_lines(text)
+    if not lines:
         raise FormatError(f"{path}: file has no content")
-    head = rows[0][1]
+    head_line, head = lines[0]
+    head = _int_tokens(head, path, head_line)
     if len(head) != 1:
         raise FormatError(
             f"{path}: cannot identify the format; the first line should be a "
             "single integer (order or degree) or a JSON object")
     n = head[0]
-    body = rows[1:]
-    if len(body) == n and all(len(row) == n for _, row in body):
-        return "cayley"
-    if body and all(len(row) == n for _, row in body):
-        return "perm"
+    body = lines[1:]
+    if body and all(len(line.split()) == n for _, line in body):
+        return "cayley" if len(body) == n else "perm"
     raise FormatError(
         f"{path}: cannot identify the format; rows match neither an order-"
         f"{n} table nor degree-{n} permutations")

@@ -12,8 +12,8 @@ partition attached by :mod:`classprod.classes`).
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -188,8 +188,11 @@ class CayleyTableGroup(GroupHandle):
     Element i is encoded as the fixed-width big-endian integer i; element
     0 must be the identity.  The constructor validates that every row is
     a bijection, that 0 really is a two-sided identity, that two-sided
-    inverses exist, and that multiplication is associative (exhaustively
-    for small tables, on a seeded sample otherwise).
+    inverses exist, and that multiplication is associative.  The last
+    check is exact: by Light's test it suffices that (x*g)*y = x*(g*y)
+    for every generator g and all x, y, because the g that pass are
+    closed under products (Clifford & Preston, *The Algebraic Theory of
+    Semigroups*, Vol. I, 1961).
     """
 
     backend = "cayley-table"
@@ -202,11 +205,11 @@ class CayleyTableGroup(GroupHandle):
             raise InvalidParameterError("multiplication table must be nonempty")
         rows = []
         for i, row in enumerate(table):
-            row = tuple(int(v) for v in row)
+            row = tuple(map(int, row))
             if len(row) != n:
                 raise InvalidParameterError(
                     f"row {i} has {len(row)} entries, expected {n}")
-            if sorted(row) != list(range(n)):
+            if len(set(row)) != n or min(row) != 0 or max(row) != n - 1:
                 raise InvalidParameterError(
                     f"row {i} is not a bijection of 0..{n - 1}")
             rows.append(row)
@@ -225,7 +228,6 @@ class CayleyTableGroup(GroupHandle):
                     f"element {i} has no two-sided inverse "
                     f"({i}*{j} = 0 but {j}*{i} = {rows[j][i]})")
             invtab[i] = j
-        self._assert_associative(rows)
 
         width = int_byte_width(n - 1)
         self._width = width
@@ -242,23 +244,28 @@ class CayleyTableGroup(GroupHandle):
                     raise InvalidParameterError(f"generator index {i} out of range")
             if self._mulclose(rows, gen_idx) != set(range(n)):
                 raise InvalidParameterError("given generators do not generate")
+        self._assert_associative(rows, gen_idx)
         super().__init__(n, self._enc[0], (self._enc[i] for i in gen_idx),
                          order_cap)
 
     @staticmethod
-    def _assert_associative(rows) -> None:
-        n = len(rows)
-        if n <= 32:
-            triples = ((i, j, k) for i in range(n) for j in range(n)
-                       for k in range(n))
-        else:
-            rng = random.Random(0)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(1000))
-        for i, j, k in triples:
-            if rows[rows[i][j]][k] != rows[i][rows[j][k]]:
-                raise InvalidParameterError(
-                    f"table is not associative at ({i},{j},{k})")
+    def _assert_associative(rows, gens) -> None:
+        """Light's test: row x*g equals row x permuted by row g, for each g.
+
+        ``gens`` must generate the table under products.  The order-1
+        table is skipped: it is associative, and ``itemgetter`` of one
+        index returns a scalar, not a tuple.
+        """
+        if len(rows) == 1:
+            return
+        for g in gens:
+            take = itemgetter(*rows[g])
+            for x, row in enumerate(rows):
+                lhs, rhs = rows[row[g]], take(row)
+                if lhs != rhs:
+                    y = next(y for y in range(len(rows)) if lhs[y] != rhs[y])
+                    raise InvalidParameterError(
+                        f"table is not associative at ({x},{g},{y})")
 
     @staticmethod
     def _mulclose(rows, gens) -> set[int]:
@@ -444,10 +451,11 @@ def closure(g: GroupHandle, seed: Iterable[Element]) -> SubgroupView:
                 if z not in known:
                     known.add(z)
                     new.append(z)
+                    if len(known) > g.order_cap:
+                        raise EnumerationCapError(
+                            f"closure exceeded the enumeration cap "
+                            f"{g.order_cap}")
         frontier = new
-        if len(known) > g.order_cap:
-            raise EnumerationCapError(
-                f"closure exceeded the enumeration cap {g.order_cap}")
     return SubgroupView(g, (Element(b) for b in known))
 
 
@@ -531,39 +539,3 @@ def quotient_group(g: GroupHandle, n: SubgroupView) -> QuotientGroup:
     if not gen_idx:
         gen_idx = [0]
     return QuotientGroup(g, n, table, gen_idx, reps, coset_of_elem)
-
-
-def sample_elements(g: GroupHandle, count: int, seed: int = 0) -> list[Element]:
-    """Deterministic pseudo-random elements.
-
-    Enumerable groups are sampled uniformly; beyond the cap we take short
-    random generator words, which is enough for law smoke tests.
-    """
-    rng = random.Random(seed)
-    if g.order <= g.order_cap:
-        pool = g._raw_elements()
-        return [Element(rng.choice(pool)) for _ in range(count)]
-    gens = g._generators_raw
-    out = []
-    for _ in range(count):
-        w = g._identity_raw
-        for _ in range(rng.randrange(1, 9)):
-            w = g._mul(w, rng.choice(gens))
-        out.append(Element(w))
-    return out
-
-
-def assert_group_laws(g: GroupHandle, samples: int = 1000, seed: int = 0) -> None:
-    """Spot-check associativity, identity and inverses on random triples."""
-    e = g._identity_raw
-    pool = [x.encoding for x in sample_elements(g, 3 * samples, seed)]
-    for i in range(samples):
-        x, y, z = pool[3 * i], pool[3 * i + 1], pool[3 * i + 2]
-        if g._mul(g._mul(x, y), z) != g._mul(x, g._mul(y, z)):
-            raise AssertionError(
-                f"associativity fails at ({x.hex()}, {y.hex()}, {z.hex()})")
-        if g._mul(e, x) != x or g._mul(x, e) != x:
-            raise AssertionError(f"identity law fails at {x.hex()}")
-        xi = g._inv(x)
-        if g._mul(xi, x) != e or g._mul(x, xi) != e:
-            raise AssertionError(f"inverse law fails at {x.hex()}")

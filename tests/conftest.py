@@ -10,6 +10,7 @@ these slow but obviously correct computations.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -135,11 +136,45 @@ def dihedral_reference_table(order: int) -> list[list[int]]:
 
 def random_pairs(g, count: int, seed: int = 0):
     """Deterministic list of element pairs for property sweeps."""
-    import random
-
     rng = random.Random(seed)
     elems = g.elements()
     return [(rng.choice(elems), rng.choice(elems)) for _ in range(count)]
+
+
+def sample_elements(g, count: int, seed: int = 0) -> list[Element]:
+    """Deterministic pseudo-random elements.
+
+    Enumerable groups are sampled uniformly; beyond the cap we take short
+    random generator words, which is enough for law smoke tests.
+    """
+    rng = random.Random(seed)
+    if g.order <= g.order_cap:
+        pool = g._raw_elements()
+        return [Element(rng.choice(pool)) for _ in range(count)]
+    gens = g._generators_raw
+    out = []
+    for _ in range(count):
+        w = g._identity_raw
+        for _ in range(rng.randrange(1, 9)):
+            w = g._mul(w, rng.choice(gens))
+        out.append(Element(w))
+    return out
+
+
+def assert_group_laws(g, samples: int = 1000, seed: int = 0) -> None:
+    """Spot-check associativity, identity and inverses on random triples."""
+    e = g._identity_raw
+    pool = [x.encoding for x in sample_elements(g, 3 * samples, seed)]
+    for i in range(samples):
+        x, y, z = pool[3 * i], pool[3 * i + 1], pool[3 * i + 2]
+        if g._mul(g._mul(x, y), z) != g._mul(x, g._mul(y, z)):
+            raise AssertionError(
+                f"associativity fails at ({x.hex()}, {y.hex()}, {z.hex()})")
+        if g._mul(e, x) != x or g._mul(x, e) != x:
+            raise AssertionError(f"identity law fails at {x.hex()}")
+        xi = g._inv(x)
+        if g._mul(xi, x) != e or g._mul(x, xi) != e:
+            raise AssertionError(f"inverse law fails at {x.hex()}")
 
 
 # ---------------------------------------------------------------------------

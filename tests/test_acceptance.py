@@ -39,9 +39,14 @@ from classprod import (
     verify_theorem_b,
 )
 from classprod.cli import main
-from classprod.groups import sample_elements
 
-from conftest import brute_class, brute_eta, brute_quadratic_image, random_pairs
+from conftest import (
+    brute_class,
+    brute_eta,
+    brute_quadratic_image,
+    random_pairs,
+    sample_elements,
+)
 
 
 def _wreath(p, base):

@@ -32,13 +32,13 @@ from classprod.classes import (
     HYPOTHESIS_SAME_SIZES,
     as_subgroup,
 )
-from classprod.groups import sample_elements
 
 from conftest import (
     brute_class,
     brute_class_partition,
     brute_eta,
     brute_quadratic_image,
+    sample_elements,
 )
 
 

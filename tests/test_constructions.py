@@ -17,9 +17,9 @@ from classprod import (
 )
 from classprod.classes import class_partition
 from classprod.constructions import KINDS, ROLES, validate_spec
-from classprod.groups import assert_group_laws, center
+from classprod.groups import center
 
-from conftest import brute_center
+from conftest import assert_group_laws, brute_center
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,18 @@
 """Reading and writing group description files."""
 
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from classprod import ConstructionSpec, FormatError, build
+from classprod import (
+    ConstructionSpec,
+    FormatError,
+    build,
+    class_partition,
+    corpus,
+)
 from classprod.formats import (
     cayley_table_text,
     dump_cayley_table,
@@ -13,6 +21,7 @@ from classprod.formats import (
     load_group,
     load_permutation_group,
 )
+from classprod.verify import spectrum_for_group
 
 from conftest import dihedral_reference_table
 
@@ -71,8 +80,30 @@ def test_cayley_file_rejects_nonassociative(tmp_path):
 
 def test_cayley_file_rejects_out_of_range_entry(tmp_path):
     path = _write(tmp_path, "bad.cayley", "2\n0 1\n1 7\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as err:
         load_cayley_table(path)
+    assert f"{path}:3: entry 7 outside 0..1" in str(err.value)
+
+
+def test_cayley_file_rejects_in_range_duplicates(tmp_path):
+    path = _write(tmp_path, "bad.cayley", "3\n0 1 2\n1 1 0\n2 0 1\n")
+    with pytest.raises(FormatError, match="not a bijection"):
+        load_cayley_table(path)
+
+
+def test_cayley_file_of_order_one(tmp_path):
+    g = load_cayley_table(_write(tmp_path, "one.cayley", "1\n0\n"))
+    assert g.order == 1
+    assert g.generators == (g.identity,)
+
+
+def test_cayley_file_accepts_noncanonical_integer_tokens(tmp_path):
+    plain = load_cayley_table(
+        _write(tmp_path, "z3.cayley", "3\n0 1 2\n1 2 0\n2 0 1\n"))
+    padded = load_cayley_table(
+        _write(tmp_path, "z3p.cayley", "3\n0 1 2\n+1 002 0\n2 00 +1\n"))
+    assert padded._table == plain._table
+    assert padded.generators == plain.generators
 
 
 def test_cayley_file_rejects_short_table(tmp_path):
@@ -85,8 +116,35 @@ def test_cayley_file_rejects_garbage(tmp_path):
     path = _write(tmp_path, "bad.cayley", "2\n0 x\n1 0\n")
     with pytest.raises(FormatError) as err:
         load_cayley_table(path)
-    # diagnostics carry path:lineno
-    assert ":2:" in str(err.value)
+    # diagnostics carry path:lineno and the token
+    assert f"{path}:2: 'x' is not an integer" in str(err.value)
+
+
+def _class_and_eta_invariants(g):
+    """Class-size histogram and eta multiset over size-3 class pairs."""
+    sizes = Counter(c.size for c in class_partition(g).classes)
+    report = spectrum_for_group(g, 3)
+    return sizes, {eta: e.count for eta, e in report.spectrum.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_relabelled_table_keeps_class_and_eta_invariants(tmp_path_factory,
+                                                         data):
+    g = build(data.draw(st.sampled_from(corpus(3, 81))))
+    lines = cayley_table_text(g).splitlines()
+    n = int(lines[0])
+    rows = [[int(v) for v in line.split()] for line in lines[1:]]
+    label = [0] + data.draw(st.permutations(range(1, n)))
+    relabelled = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            relabelled[label[i]][label[j]] = label[rows[i][j]]
+    path = tmp_path_factory.mktemp("relabel") / "g.cayley"
+    path.write_text(f"{n}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in relabelled))
+    loaded = load_cayley_table(str(path))
+    assert _class_and_eta_invariants(loaded) == _class_and_eta_invariants(g)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +213,15 @@ def test_load_group_sniffs_unknown_extension(tmp_path):
                   ConstructionSpec(kind="cyclic", n=4).to_json())
     g, _ = load_group(path)
     assert g.order == 4
+
+
+def test_load_group_sniffs_a_table_without_extension(tmp_path, dihedral8):
+    text = cayley_table_text(dihedral8)
+    g, desc = load_group(_write(tmp_path, "d8.txt", text))
+    ref = load_cayley_table(_write(tmp_path, "d8.cayley", text))
+    assert desc["kind"] == "cayley-table-file"
+    assert g._table == ref._table
+    assert g.generators == ref.generators
 
 
 def test_load_group_missing_file(tmp_path):

@@ -20,13 +20,14 @@ from classprod import (
     closure,
     quotient_group,
 )
-from classprod.groups import assert_group_laws, sample_elements
 
 from conftest import (
+    assert_group_laws,
     brute_center,
     brute_centralizer,
     brute_class,
     dihedral_reference_table,
+    sample_elements,
 )
 
 
@@ -47,6 +48,42 @@ NONASSOCIATIVE_5 = [
 def test_cayley_rejects_nonassociative_latin_square():
     with pytest.raises(InvalidParameterError):
         CayleyTableGroup(NONASSOCIATIVE_5)
+
+
+def test_cayley_reports_the_first_nonassociative_triple():
+    with pytest.raises(InvalidParameterError) as err:
+        CayleyTableGroup(NONASSOCIATIVE_5)
+    x, g, y = map(int, str(err.value).split("(")[1].rstrip(")").split(","))
+    t = NONASSOCIATIVE_5
+    assert t[t[x][g]][y] != t[x][t[g][y]]
+
+
+def test_cayley_checks_associativity_at_every_generator():
+    # Z_2 x the loop above, (i, q) -> 2q + i: the first greedy generator
+    # (1, 0) lies in the Z_2 factor and passes Light's test; the failure
+    # shows only at a later generator.
+    q = NONASSOCIATIVE_5
+    table = [[2 * q[a // 2][b // 2] + (a + b) % 2 for b in range(10)]
+             for a in range(10)]
+    with pytest.raises(InvalidParameterError, match=r"at \(2,2,4\)"):
+        CayleyTableGroup(table)
+
+
+def _cyclic_table(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def test_cayley_rejects_swapped_intercalate_in_large_table():
+    # Swapping 3 and 131 in the intercalate at rows 1, 129 and columns 2,
+    # 130 of Z_256 keeps a Latin square with the same identity and
+    # inverses, but breaks associativity on few enough triples that a
+    # sampled check misses them.
+    table = _cyclic_table(256)
+    for i, j in ((1, 2), (1, 130), (129, 2), (129, 130)):
+        table[i][j] = 3 + 131 - table[i][j]
+    with pytest.raises(InvalidParameterError, match="not associative"):
+        CayleyTableGroup(table)
+    assert CayleyTableGroup(_cyclic_table(256)).order == 256
 
 
 def test_cayley_rejects_non_latin_rows():
@@ -199,6 +236,27 @@ def test_closure_of_rotation(dihedral8):
     sub = closure(dihedral8, [rot])
     assert len(sub) == 4
     assert sub.is_normal
+
+
+def test_closure_cap_is_checked_per_element():
+    spec = ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=1)
+    full = build(spec, order_cap=27)
+    assert len(closure(full, full.generators)) == 27
+    g = build(spec, order_cap=26)
+    products = []
+    mul = g._mul
+
+    def recording_mul(x, y):
+        products.append(mul(x, y))
+        return products[-1]
+
+    g._mul = recording_mul
+    with pytest.raises(EnumerationCapError):
+        closure(g, g.generators)
+    # the closure stops at the product that first takes it past the cap
+    start = {g._identity_raw, *g._generators_raw}
+    assert len(start.union(products)) == 27
+    assert products[-1] not in start.union(products[:-1])
 
 
 def test_closure_of_reflection_not_normal(dihedral8):

@@ -25,9 +25,9 @@ from classprod import (
     eta,
     quotient_group,
 )
-from classprod.groups import SubgroupView, sample_elements
+from classprod.groups import SubgroupView
 
-from conftest import brute_eta, random_pairs
+from conftest import brute_eta, random_pairs, sample_elements
 
 
 # ---------------------------------------------------------------------------
