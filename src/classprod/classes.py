@@ -198,9 +198,6 @@ class ClassDecomposition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(c.size for c in self.classes)
 
-    def representatives(self) -> tuple[Element, ...]:
-        return tuple(c.representative for c in self.classes)
-
 
 def _decompose_raw(g: GroupHandle,
                    members: set[bytes]) -> tuple[ConjugacyClass, ...]:

@@ -24,24 +24,16 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
-from dataclasses import dataclass
-from typing import Iterator
 
 from .classes import class_partition, class_product, conjugacy_class
-from .constructions import ConstructionSpec, corpus
 from .errors import ClassprodError, TheoremViolationError
 from .formats import load_group
 from .groups import DEFAULT_ORDER_CAP, center
-from .util import _require_odd_prime
 from .verify import (
-    REPRODUCTION_CHECKS,
     TheoremReport,
-    collect_spectrum,
-    corpus_theorem_report,
-    run_reproduction_check,
-    spectrum_corpus_report,
+    eta_spectrum,
+    reproduce_examples,
+    verify_corpus,
     verify_group,
 )
 from .words import parse_element_word
@@ -49,25 +41,6 @@ from .words import parse_element_word
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
-
-
-@dataclass
-class RunConfig:
-    """One fully-resolved CLI invocation."""
-
-    command: str
-    group: str | None = None
-    use_corpus: bool = False
-    p: int | None = None
-    max_order: int | None = None
-    cap: int = DEFAULT_ORDER_CAP
-    a: str | None = None
-    b: str | None = None
-    theorem: str | None = None
-    out: str | None = None
-    fmt: str = "jsonl"
-    jobs: int = 1
-    timings: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,74 +127,31 @@ def build_parser() -> _Parser:
     return parser
 
 
-def parse_config(argv=None) -> RunConfig:
+def parse_config(argv=None) -> argparse.Namespace:
+    """Parse and cross-check one invocation; usage errors exit with 1."""
     parser = build_parser()
     ns = parser.parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    for name in ("group", "use_corpus", "p", "max_order", "cap", "a", "b",
-                 "theorem", "out", "fmt", "jobs", "timings"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    if cfg.fmt == "csv" and cfg.command != "spectrum":
+    if ns.fmt == "csv" and ns.command != "spectrum":
         parser.error("--format csv is only available for spectrum tallies")
-    if cfg.command == "verify":
-        if bool(cfg.group) == bool(cfg.use_corpus):
+    if ns.command == "verify":
+        if bool(ns.group) == bool(ns.use_corpus):
             parser.error("verify needs exactly one of --group or --corpus")
-        if cfg.use_corpus and (cfg.p is None or cfg.max_order is None):
+        if ns.use_corpus and (ns.p is None or ns.max_order is None):
             parser.error("--corpus needs --p and --max-order")
-        if cfg.group and cfg.theorem in ("a", "b") and cfg.p is None:
-            parser.error(f"--theorem {cfg.theorem} needs --p")
-    if cfg.jobs < 1:
+        if ns.group and ns.theorem in ("a", "b") and ns.p is None:
+            parser.error(f"--theorem {ns.theorem} needs --p")
+    if "jobs" in ns and ns.jobs < 1:
         parser.error("--jobs must be at least 1")
-    if cfg.cap < 1:
+    if ns.cap < 1:
         parser.error("--cap must be positive")
-    return cfg
-
-
-# ----------------------------------------------------------------------
-# parallel workers (module level so they pickle)
-
-def _corpus_verify_worker(args) -> TheoremReport:
-    theorem, spec_plain, p, cap = args
-    spec = ConstructionSpec.from_plain(spec_plain)
-    return corpus_theorem_report(theorem, spec, p, cap)
-
-
-def _reproduction_worker(args) -> TheoremReport:
-    check, p, cap = args
-    return run_reproduction_check(check, p, cap)
-
-
-def _spectrum_worker(args) -> TheoremReport:
-    spec_plain, p, cap = args
-    spec = ConstructionSpec.from_plain(spec_plain)
-    return spectrum_corpus_report(spec, p, cap)
-
-
-def _map_jobs(worker, args_list, jobs: int) -> Iterator[TheoremReport]:
-    """Yield the worker's result for each argument tuple, in list order.
-
-    Lazy on both paths, so a consumer that stops early stops the work:
-    the serial path runs no further worker, and the pool cancels every
-    task not yet started once the generator is closed.
-    """
-    if jobs <= 1 or len(args_list) <= 1:
-        yield from map(worker, args_list)
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(worker, args) for args in args_list]
-        try:
-            for future in futures:
-                yield future.result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+    return ns
 
 
 # ----------------------------------------------------------------------
 # subcommand implementations, each returning a list of records
 
-def _run_classes(cfg: RunConfig) -> list[dict]:
-    g, desc = load_group(cfg.group, cfg.cap)
+def _run_classes(ns: argparse.Namespace) -> list[dict]:
+    g, desc = load_group(ns.group, ns.cap)
     records = []
     for c in class_partition(g):
         records.append({"group": desc, "rep": c.representative.hex(),
@@ -229,10 +159,10 @@ def _run_classes(cfg: RunConfig) -> list[dict]:
     return records
 
 
-def _run_product(cfg: RunConfig) -> list[dict]:
-    g, desc = load_group(cfg.group, cfg.cap)
-    xa = conjugacy_class(g, parse_element_word(g, cfg.a))
-    xb = conjugacy_class(g, parse_element_word(g, cfg.b))
+def _run_product(ns: argparse.Namespace) -> list[dict]:
+    g, desc = load_group(ns.group, ns.cap)
+    xa = conjugacy_class(g, parse_element_word(g, ns.a))
+    xb = conjugacy_class(g, parse_element_word(g, ns.b))
     d = class_product(xa, xb)
     return [{
         "group": desc,
@@ -244,36 +174,28 @@ def _run_product(cfg: RunConfig) -> list[dict]:
     }]
 
 
-def _records(reports: list[TheoremReport], cfg: RunConfig) -> list[dict]:
-    return [r.to_record(cfg.timings) for r in reports]
+def _records(reports: list[TheoremReport], ns) -> list[dict]:
+    return [r.to_record(ns.timings) for r in reports]
 
 
-def _run_verify(cfg: RunConfig) -> list[dict]:
-    if cfg.group:
-        g, desc = load_group(cfg.group, cfg.cap)
-        return _records([verify_group(cfg.theorem, g, cfg.p, desc)], cfg)
-    args = [(cfg.theorem, spec.to_plain(), cfg.p, cfg.cap)
-            for spec in corpus(cfg.p, cfg.max_order)]
-    return _records(list(_map_jobs(_corpus_verify_worker, args, cfg.jobs)),
-                    cfg)
+def _run_verify(ns: argparse.Namespace) -> list[dict]:
+    if ns.group:
+        g, desc = load_group(ns.group, ns.cap)
+        return _records([verify_group(ns.theorem, g, ns.p, desc)], ns)
+    return _records(verify_corpus(ns.theorem, ns.p, ns.max_order, ns.cap,
+                                  ns.jobs), ns)
 
 
-def _run_reproduce(cfg: RunConfig) -> list[dict]:
-    _require_odd_prime(cfg.p, "the example reproductions")
-    args = [(name, cfg.p, cfg.cap) for name in REPRODUCTION_CHECKS]
-    return _records(list(_map_jobs(_reproduction_worker, args, cfg.jobs)),
-                    cfg)
+def _run_reproduce(ns: argparse.Namespace) -> list[dict]:
+    return _records(reproduce_examples(ns.p, ns.cap, ns.jobs), ns)
 
 
-def _run_spectrum(cfg: RunConfig) -> list[dict]:
-    args = [(spec.to_plain(), cfg.p, cfg.cap)
-            for spec in corpus(cfg.p, cfg.max_order)]
-    with closing(_map_jobs(_spectrum_worker, args, cfg.jobs)) as reports:
-        return _records(collect_spectrum(cfg.p, cfg.max_order, reports), cfg)
+def _run_spectrum(ns: argparse.Namespace) -> list[dict]:
+    return _records(eta_spectrum(ns.p, ns.max_order, ns.cap, ns.jobs), ns)
 
 
-def _run_inspect(cfg: RunConfig) -> list[dict]:
-    g, desc = load_group(cfg.group, cfg.cap)
+def _run_inspect(ns: argparse.Namespace) -> list[dict]:
+    g, desc = load_group(ns.group, ns.cap)
     part = class_partition(g)
     return [{
         "group": desc,
@@ -323,10 +245,10 @@ def _spectrum_csv(records: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _write_records(records: list[dict], cfg: RunConfig) -> None:
-    text = (_spectrum_csv(records) if cfg.fmt == "csv" else _jsonl(records))
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+def _write_records(records: list[dict], ns: argparse.Namespace) -> None:
+    text = (_spectrum_csv(records) if ns.fmt == "csv" else _jsonl(records))
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -338,20 +260,15 @@ def _report_error(exc: Exception) -> None:
           file=sys.stderr)
 
 
-def run(cfg: RunConfig) -> list[dict]:
-    """Execute one configuration and return its report records."""
-    return _RUNNERS[cfg.command](cfg)
-
-
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(argv)
+        ns = parse_config(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        records = run(cfg)
+        records = _RUNNERS[ns.command](ns)
     except TheoremViolationError as exc:
-        _write_records(list(exc.records), cfg)
+        _write_records(list(exc.records), ns)
         _report_error(exc)
         return EXIT_VIOLATION
     except ClassprodError as exc:
@@ -360,7 +277,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         _report_error(exc)
         return EXIT_USAGE
-    _write_records(records, cfg)
+    _write_records(records, ns)
     if any(rec.get("violations") for rec in records):
         return EXIT_VIOLATION
     return EXIT_OK

@@ -264,20 +264,6 @@ class DirectProductGroup(GroupHandle):
                 gens.append(b"".join(parts))
         super().__init__(order, ident, gens, order_cap)
 
-    def pack(self, parts: Sequence[Element]) -> Element:
-        if len(parts) != len(self.factor_groups):
-            raise InvalidParameterError(
-                f"expected {len(self.factor_groups)} components, got {len(parts)}")
-        raw = []
-        for f, part in zip(self.factor_groups, parts):
-            f._check(part.encoding)
-            raw.append(part.encoding)
-        return Element(b"".join(raw))
-
-    def unpack(self, x: Element) -> tuple[Element, ...]:
-        self._check(x.encoding)
-        return tuple(Element(x.encoding[a:b]) for a, b in self._slices)
-
     def _mul(self, x: bytes, y: bytes) -> bytes:
         return b"".join(f._mul(x[a:b], y[a:b])
                         for f, (a, b) in zip(self.factor_groups, self._slices))
@@ -378,18 +364,6 @@ class ExtraspecialGroup(GroupHandle):
             gens.append(bytes(y))
         super().__init__(p ** width, ident, gens, order_cap)
 
-    def pack(self, xvec: Sequence[int], yvec: Sequence[int], z: int) -> Element:
-        if len(xvec) != self.l or len(yvec) != self.l:
-            raise InvalidParameterError(f"vectors must have length {self.l}")
-        p = self.p
-        return Element(bytes([v % p for v in xvec] + [v % p for v in yvec]
-                             + [z % p]))
-
-    def unpack(self, e: Element) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        self._check(e.encoding)
-        raw = e.encoding
-        return tuple(raw[:self.l]), tuple(raw[self.l:2 * self.l]), raw[-1]
-
     def _mul(self, x: bytes, y: bytes) -> bytes:
         p = self.p
         l = self.l
@@ -446,21 +420,6 @@ class WreathCyclicGroup(GroupHandle):
             gens.append(g + base._identity_raw * (p - 1) + b"\x00")
         gens.append(base._identity_raw * p + b"\x01")
         super().__init__(base.order ** p * p, ident, gens, order_cap)
-
-    def pack(self, parts: Sequence[Element], shift: int) -> Element:
-        if len(parts) != self.p:
-            raise InvalidParameterError(f"expected {self.p} coordinates")
-        for part in parts:
-            self.base._check(part.encoding)
-        if not 0 <= shift < self.p:
-            raise InvalidParameterError(f"shift must be in 0..{self.p - 1}")
-        return Element(b"".join(part.encoding for part in parts) + bytes([shift]))
-
-    def unpack(self, x: Element) -> tuple[tuple[Element, ...], int]:
-        self._check(x.encoding)
-        w = self._w
-        parts = tuple(Element(x.encoding[i * w:(i + 1) * w]) for i in range(self.p))
-        return parts, x.encoding[-1]
 
     def _mul(self, x: bytes, y: bytes) -> bytes:
         w = self._w
@@ -539,19 +498,6 @@ class AffineWreathGroup(GroupHandle):
             if len(seen) == p - 1:
                 return g
         raise InvalidParameterError(f"no primitive root mod {p}")
-
-    def pack(self, values: Sequence[int], u: int, v: int) -> Element:
-        p = self.p
-        if len(values) != p:
-            raise InvalidParameterError(f"expected {p} coordinate values")
-        if u % p == 0:
-            raise InvalidParameterError("the affine scale u must be nonzero")
-        return Element(bytes([val % p for val in values]) + bytes([u % p, v % p]))
-
-    def unpack(self, x: Element) -> tuple[tuple[int, ...], int, int]:
-        self._check(x.encoding)
-        p = self.p
-        return tuple(x.encoding[:p]), x.encoding[p], x.encoding[p + 1]
 
     def _mul(self, x: bytes, y: bytes) -> bytes:
         p = self.p

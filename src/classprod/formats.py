@@ -78,7 +78,14 @@ def _head_value(lines: list[tuple[int, str]], path: str, what: str) -> int:
 
 def load_cayley_table(path: str,
                       order_cap: int = DEFAULT_ORDER_CAP) -> CayleyTableGroup:
-    """Load and validate a multiplication-table file.
+    """Load and validate a multiplication-table file."""
+    return _parse_cayley_table(_content_lines(_read_text(path)), path,
+                               order_cap)
+
+
+def _parse_cayley_table(lines: list[tuple[int, str]], path: str,
+                        order_cap: int) -> CayleyTableGroup:
+    """Build the table group from a file's content lines.
 
     Each row is parsed in one pass of dictionary lookups keyed by the
     canonical token text, which also range-checks it and makes every row
@@ -86,7 +93,6 @@ def load_cayley_table(path: str,
     (``007``, ``+3``, ``x``, out of range) is parsed again token by token,
     so it either loads as before or is reported with its line number.
     """
-    lines = _content_lines(_read_text(path))
     n = _head_value(lines, path, "order")
     body = lines[1:]
     if len(body) != n:
@@ -118,7 +124,12 @@ def load_cayley_table(path: str,
 def load_permutation_group(path: str,
                            order_cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
     """Load generator permutations given as image vectors."""
-    lines = _content_lines(_read_text(path))
+    return _parse_permutations(_content_lines(_read_text(path)), path,
+                               order_cap)
+
+
+def _parse_permutations(lines: list[tuple[int, str]], path: str,
+                        order_cap: int) -> PermutationGroup:
     degree = _head_value(lines, path, "degree")
     body = [(lineno, _int_tokens(line, path, lineno))
             for lineno, line in lines[1:]]
@@ -140,23 +151,22 @@ def load_permutation_group(path: str,
 
 
 def load_construction_spec(path: str) -> ConstructionSpec:
-    text = _read_text(path)
+    return _parse_spec(_read_text(path), path)
+
+
+def _parse_spec(text: str, path: str) -> ConstructionSpec:
     try:
         return ConstructionSpec.from_json(text)
     except InvalidParameterError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _sniff_kind(text: str, path: str) -> str:
-    """The format of ``text``, from its head line and its token counts.
+def _sniff_kind(lines: list[tuple[int, str]], path: str) -> str:
+    """The numeric format of a file, from its head line and token counts.
 
     Only the head line is parsed as an integer; the body is judged by
-    its row and token counts and left to the loader to parse.
+    its row and token counts and left to the parser.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return "spec"
-    lines = _content_lines(text)
     if not lines:
         raise FormatError(f"{path}: file has no content")
     head_line, head = lines[0]
@@ -174,31 +184,34 @@ def _sniff_kind(text: str, path: str) -> str:
         f"{n} table nor degree-{n} permutations")
 
 
+_KIND_OF_EXTENSION = {".spec": "spec", ".json": "spec", ".cayley": "cayley",
+                      ".table": "cayley", ".perm": "perm"}
+
+
 def load_group(path: str,
                order_cap: int = DEFAULT_ORDER_CAP) -> tuple[GroupHandle, dict]:
     """Load a group from any supported source file.
 
     Dispatches on the file extension (.spec/.json, .cayley/.table, .perm)
-    and otherwise sniffs the content.  Returns the group plus a
-    descriptor for reports: the spec tree itself for constructions, or
-    the file kind and path for the tabular formats.
+    and otherwise sniffs the content; either way the file is read and
+    split into lines once.  Returns the group plus a descriptor for
+    reports: the spec tree itself for constructions, or the file kind and
+    path for the tabular formats.
     """
-    ext = os.path.splitext(path)[1].lower()
-    if ext in (".spec", ".json"):
+    text = _read_text(path)
+    kind = _KIND_OF_EXTENSION.get(os.path.splitext(path)[1].lower())
+    if kind is None and text.lstrip().startswith("{"):
         kind = "spec"
-    elif ext in (".cayley", ".table"):
-        kind = "cayley"
-    elif ext == ".perm":
-        kind = "perm"
-    else:
-        kind = _sniff_kind(_read_text(path), path)
     if kind == "spec":
-        spec = load_construction_spec(path)
+        spec = _parse_spec(text, path)
         return build(spec, order_cap), spec.to_plain()
+    lines = _content_lines(text)
+    if kind is None:
+        kind = _sniff_kind(lines, path)
     if kind == "cayley":
-        return (load_cayley_table(path, order_cap),
+        return (_parse_cayley_table(lines, path, order_cap),
                 {"kind": "cayley-table-file", "path": path})
-    return (load_permutation_group(path, order_cap),
+    return (_parse_permutations(lines, path, order_cap),
             {"kind": "permutation-file", "path": path})
 
 

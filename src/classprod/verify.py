@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from itertools import starmap
+from typing import Callable, Iterator
 
 from .classes import (
     ClassDecomposition,
@@ -173,6 +175,32 @@ def _descriptor(g: GroupHandle, given: dict | None) -> dict:
     if given is not None:
         return given
     return {"kind": "opaque", "backend": g.backend, "order": g.order}
+
+
+def _map_jobs(worker: Callable[..., TheoremReport], args_list: list[tuple],
+             jobs: int) -> Iterator[TheoremReport]:
+    """Yield ``worker(*args)`` for each argument tuple, in list order.
+
+    With ``jobs`` > 1 the calls run in a pool of that many processes, so
+    ``worker`` and its arguments must pickle.  Lazy on both paths, so a
+    consumer that stops early stops the work: the serial path runs no
+    further call, and the pool cancels every task not yet started once
+    the generator is closed.
+    """
+    if jobs <= 1 or len(args_list) <= 1:
+        yield from starmap(worker, args_list)
+        return
+    # Imported here, not at module level, so that a process which imports
+    # the package but starts no pool never loads concurrent.futures and
+    # its resident memory.
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(worker, *args) for args in args_list]
+        try:
+            for future in futures:
+                yield future.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def _sweep(theorem: str, p: int | None, desc: dict, g: GroupHandle,
@@ -390,15 +418,18 @@ def run_reproduction_check(check: str, p: int,
                          _ms(t0))
 
 
-def reproduce_examples(p: int,
-                       order_cap: int = DEFAULT_ORDER_CAP) -> list[TheoremReport]:
+def reproduce_examples(p: int, order_cap: int = DEFAULT_ORDER_CAP,
+                       jobs: int = 1) -> list[TheoremReport]:
     """Run every worked-example reproduction, in plan order.
 
     None of them enumerates its whole group, so the cap bounds the orbits
-    and class products they compute, not the group order.
+    and class products they compute, not the group order.  ``p`` is
+    checked before any check runs.  ``jobs`` > 1 runs the checks in
+    that many worker processes; the reports do not depend on it.
     """
-    return [run_reproduction_check(name, p, order_cap)
-            for name in REPRODUCTION_CHECKS]
+    _require_odd_prime(p, "the example reproductions")
+    args = [(name, p, order_cap) for name in REPRODUCTION_CHECKS]
+    return list(_map_jobs(run_reproduction_check, args, jobs))
 
 
 # ----------------------------------------------------------------------
@@ -457,42 +488,40 @@ def merge_spectrum_reports(p: int, max_order: int,
         p, scanned, [], merged, elapsed)
 
 
-def collect_spectrum(p: int, max_order: int,
-                     reports: Iterable[TheoremReport]) -> list[TheoremReport]:
+def eta_spectrum(p: int, max_order: int, order_cap: int = DEFAULT_ORDER_CAP,
+                 jobs: int = 1) -> list[TheoremReport]:
     """Per-group spectrum reports in corpus order, plus the merged tally.
 
-    ``reports`` is consumed lazily.  If a group contradicts the gap (eta
-    strictly between 1 and (p+1)/2), consumption stops at that group and
-    the run aborts with the records so far attached to the raised error.
+    If a group contradicts the gap (eta strictly between 1 and (p+1)/2),
+    the scan stops at that group, cancels the groups not yet started, and
+    raises with the records so far attached to the error.  ``jobs`` > 1
+    sweeps the groups in that many worker processes; the reports do not
+    depend on it.
     """
+    _require_odd_prime(p, "the spectrum sweep")
+    args = [(spec, p, order_cap) for spec in corpus(p, max_order)]
     kept = []
-    for report in reports:
-        kept.append(report)
-        if report.violations:
-            raise TheoremViolationError(
-                f"gap violation: group "
-                f"{json.dumps(report.group, sort_keys=True)} attains eta="
-                f"{report.violations[0].eta} with 1 < eta < {(p + 1) // 2}",
-                records=[r.to_record() for r in kept])
+    with closing(_map_jobs(spectrum_corpus_report, args, jobs)) as reports:
+        for report in reports:
+            kept.append(report)
+            if report.violations:
+                raise TheoremViolationError(
+                    f"gap violation: group "
+                    f"{json.dumps(report.group, sort_keys=True)} attains eta="
+                    f"{report.violations[0].eta} with 1 < eta < "
+                    f"{(p + 1) // 2}",
+                    records=[r.to_record() for r in kept])
     kept.append(merge_spectrum_reports(p, max_order, kept))
     return kept
 
 
-def eta_spectrum(p: int, max_order: int,
-                 order_cap: int = DEFAULT_ORDER_CAP) -> list[TheoremReport]:
-    """Per-group spectrum reports over the corpus, plus the merged tally.
-
-    Scanning stops at the first group that contradicts the gap; see
-    :func:`collect_spectrum`.
-    """
-    _require_odd_prime(p, "the spectrum sweep")
-    return collect_spectrum(p, max_order, (
-        spectrum_corpus_report(spec, p, order_cap)
-        for spec in corpus(p, max_order)))
-
-
 def verify_corpus(theorem: str, p: int, max_order: int,
-                  order_cap: int = DEFAULT_ORDER_CAP) -> list[TheoremReport]:
-    """Run one theorem checker over every corpus group, in corpus order."""
-    return [corpus_theorem_report(theorem, spec, p, order_cap)
-            for spec in corpus(p, max_order)]
+                  order_cap: int = DEFAULT_ORDER_CAP,
+                  jobs: int = 1) -> list[TheoremReport]:
+    """Run one theorem checker over every corpus group, in corpus order.
+
+    ``jobs`` > 1 checks the groups in that many worker processes; the
+    reports do not depend on it.
+    """
+    args = [(theorem, spec, p, order_cap) for spec in corpus(p, max_order)]
+    return list(_map_jobs(corpus_theorem_report, args, jobs))

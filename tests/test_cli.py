@@ -1,11 +1,13 @@
 """Command-line behavior: output records, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import classprod
 from classprod import ConstructionSpec
 from classprod.cli import main
 
@@ -258,18 +260,32 @@ def test_reproduce_identical_across_runs(tmp_path, capsys):
 # the installed console script
 
 
+def _python(*args):
+    """Run this interpreter with the imported package's source on its path."""
+    src = os.path.dirname(os.path.dirname(classprod.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_console_script_smoke(affine_spec):
-    proc = subprocess.run(
-        [sys.executable, "-m", "classprod", "product", "--group", affine_spec,
-         "--a", "g0", "--b", "g0"],
-        capture_output=True, text=True, timeout=120)
+    proc = _python("-m", "classprod", "product", "--group", affine_spec,
+                   "--a", "g0", "--b", "g0")
     assert proc.returncode == 0
     rec = json.loads(proc.stdout.strip())
     assert rec["eta"] == 2
 
 
 def test_console_script_usage_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "classprod", "verify"],
-        capture_output=True, text=True, timeout=120)
+    proc = _python("-m", "classprod", "verify")
     assert proc.returncode == 1
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # The pool module is imported only when a pool starts, so a serial run
+    # never holds its memory.
+    proc = _python("-c", "import sys, classprod.cli; "
+                         "print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import classprod.formats as formats_mod
 from classprod import (
     ConstructionSpec,
     FormatError,
@@ -222,6 +223,18 @@ def test_load_group_sniffs_a_table_without_extension(tmp_path, dihedral8):
     assert desc["kind"] == "cayley-table-file"
     assert g._table == ref._table
     assert g.generators == ref.generators
+
+
+def test_load_group_reads_a_sniffed_file_once(tmp_path, dihedral8,
+                                              monkeypatch):
+    path = _write(tmp_path, "d8.txt", cayley_table_text(dihedral8))
+    real = formats_mod._read_text
+    calls = []
+    monkeypatch.setattr(formats_mod, "_read_text",
+                        lambda p: calls.append(p) or real(p))
+    g, _ = load_group(path)
+    assert g.order == 8
+    assert calls == [path]
 
 
 def test_load_group_missing_file(tmp_path):

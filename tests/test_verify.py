@@ -209,9 +209,16 @@ def test_reproduce_p7_all_clean():
     assert all(r.consistent for r in reports)
 
 
-def test_reproduce_rejects_even_p():
-    with pytest.raises(EvenPrimeError):
-        reproduce_examples(2)
+def test_reproduce_rejects_even_p(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for jobs in (1, 2):
+        with pytest.raises(EvenPrimeError):
+            reproduce_examples(2, jobs=jobs)
 
 
 def test_single_check_wreath_square():
@@ -250,6 +257,15 @@ def test_verify_corpus_theorem_a_small():
 def test_verify_corpus_size2():
     reports = verify_corpus("size2", 2, 64)
     assert all(r.consistent for r in reports)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda jobs: verify_corpus("a", 3, 243, jobs=jobs),
+    lambda jobs: eta_spectrum(3, 243, jobs=jobs),
+], ids=["verify_corpus", "eta_spectrum"])
+def test_corpus_sweeps_identical_across_jobs(sweep):
+    serial = [r.to_record() for r in sweep(1)]
+    assert [r.to_record() for r in sweep(2)] == serial
 
 
 def test_corpus_theorem_report_single():
