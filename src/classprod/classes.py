@@ -10,6 +10,7 @@ their decomposition directly; the invariant is exposed as
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -20,6 +21,7 @@ from .errors import (
     NotCentralError,
     PreconditionViolatedError,
 )
+from .constructions import DirectProductGroup
 from .groups import Element, GroupHandle, SubgroupView, centralizer
 from .util import _require_odd_prime
 
@@ -102,23 +104,25 @@ def conjugacy_class(g: GroupHandle, a: Element) -> ConjugacyClass:
 
 
 class ClassPartition:
-    """All conjugacy classes of a group, computed once and cached."""
+    """All conjugacy classes of a group, computed once and cached.
+
+    A direct product's classes are composed from its factors' cached
+    partitions; every other group is scanned orbit by orbit.
+    """
 
     def __init__(self, g: GroupHandle):
         self.group = g
-        assigned: dict[bytes, int] = {}
-        classes: list[ConjugacyClass] = []
-        for raw in g._raw_elements():
-            if raw in assigned:
-                continue
-            orbit = _orbit_raw(g, raw)
-            idx = len(classes)
-            classes.append(ConjugacyClass(g, orbit))
-            for member in orbit:
-                assigned[member] = idx
-        # The scan visits encodings in ascending order, so each class is
-        # first met at its least member and the list is already sorted
-        # by representative.
+        # Enumerated on both paths, so the cap and the enumeration checks
+        # hold for composed partitions too.
+        elements = g._raw_elements()
+        if isinstance(g, DirectProductGroup):
+            classes, assigned = _product_classes(g)
+        else:
+            classes, assigned = _scan_classes(g, elements)
+        if len(assigned) != g.order:
+            raise InvalidParameterError(
+                f"class partition covers {len(assigned)} elements but the "
+                f"group has order {g.order}")
         self.classes: tuple[ConjugacyClass, ...] = tuple(classes)
         self._index_of = assigned
 
@@ -140,6 +144,43 @@ class ClassPartition:
         for c in self.classes:
             out[c.size] = out.get(c.size, 0) + 1
         return dict(sorted(out.items()))
+
+
+def _scan_classes(g: GroupHandle, elements: tuple[bytes, ...]):
+    """Peel one conjugation orbit per unassigned element.
+
+    The scan visits encodings in ascending order, so each class is first
+    met at its least member and the list is already sorted by
+    representative.
+    """
+    assigned: dict[bytes, int] = {}
+    classes: list[ConjugacyClass] = []
+    for raw in elements:
+        if raw in assigned:
+            continue
+        orbit = _orbit_raw(g, raw)
+        assigned.update(dict.fromkeys(orbit, len(classes)))
+        classes.append(ConjugacyClass(g, orbit))
+    return classes, assigned
+
+
+def _product_classes(g: DirectProductGroup):
+    """Compose the classes of H x K as h^H x k^K, without multiplying.
+
+    Encodings concatenate fixed-width factor encodings, so listing the
+    factor-class tuples in lexicographic order lists the classes in
+    ascending representative order, and a class's index is the
+    mixed-radix index of its tuple.
+    """
+    assigned: dict[bytes, int] = {}
+    classes: list[ConjugacyClass] = []
+    factor_classes = [class_partition(f).classes for f in g.factor_groups]
+    for combo in itertools.product(*factor_classes):
+        members = frozenset(map(b"".join,
+                                itertools.product(*(c._raw for c in combo))))
+        assigned.update(dict.fromkeys(members, len(classes)))
+        classes.append(ConjugacyClass(g, members))
+    return classes, assigned
 
 
 def class_partition(g: GroupHandle) -> ClassPartition:

@@ -28,7 +28,7 @@ import sys
 from .classes import class_partition, class_product, conjugacy_class
 from .errors import ClassprodError, TheoremViolationError
 from .formats import load_group
-from .groups import DEFAULT_ORDER_CAP, center
+from .groups import DEFAULT_ORDER_CAP
 from .verify import (
     TheoremReport,
     eta_spectrum,
@@ -202,7 +202,7 @@ def _run_inspect(ns: argparse.Namespace) -> list[dict]:
         "backend": g.backend,
         "order": g.order,
         "generators": [x.hex() for x in g.generators],
-        "center_size": len(center(g)),
+        "center_size": len(part.classes_of_size(1)),
         "class_count": len(part),
         "class_sizes": {str(size): count
                         for size, count in part.size_histogram().items()},

@@ -205,7 +205,10 @@ class CayleyTableGroup(GroupHandle):
             raise InvalidParameterError("multiplication table must be nonempty")
         rows = []
         for i, row in enumerate(table):
-            row = tuple(map(int, row))
+            # A tuple of exact ints (as the file loader builds) is kept
+            # as is; anything else is copied into one.
+            if type(row) is not tuple or set(map(type, row)) != {int}:
+                row = tuple(map(int, row))
             if len(row) != n:
                 raise InvalidParameterError(
                     f"row {i} has {len(row)} entries, expected {n}")

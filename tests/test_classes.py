@@ -9,6 +9,7 @@ from classprod import (
     EnumerationCapError,
     EvenPrimeError,
     GroupMismatchError,
+    InvalidParameterError,
     InvalidPrimeError,
     PreconditionViolatedError,
     build,
@@ -21,6 +22,7 @@ from classprod import (
     closure,
     commutator_set,
     conjugacy_class,
+    corpus,
     decompose_invariant_set,
     eta,
     eta_one_criterion,
@@ -68,6 +70,47 @@ def test_partition_covers_group(affine162):
     assert sum(cls.size for cls in part) == affine162.order
     reps = [cls.representative for cls in part]
     assert reps == sorted(reps)
+
+
+# Every direct-product and elementary-abelian corpus group (the p = 2
+# ones include table-backed quaternion and dihedral factors), plus one
+# product nested inside another.
+PRODUCT_SPECS = [
+    spec for p, max_order in ((3, 729), (5, 625), (2, 64))
+    for spec in corpus(p, max_order)
+    if spec.kind in ("direct-product", "elementary-abelian")
+] + [ConstructionSpec(kind="direct-product", factors=(
+    ConstructionSpec(kind="cyclic", n=3),
+    ConstructionSpec(kind="direct-product", factors=(
+        ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=1),
+        ConstructionSpec(kind="cyclic", n=3)))))]
+
+
+@pytest.mark.parametrize("spec", PRODUCT_SPECS, ids=str)
+def test_product_partition_matches_brute_force(spec):
+    g = build(spec)
+    part = class_partition(g)
+    assert [c.members for c in part.classes] == brute_class_partition(g)
+    for i, c in enumerate(part.classes):
+        assert all(part._index_of[raw] == i for raw in c._raw)
+
+
+def test_product_partition_past_the_cap_raises():
+    nine = ConstructionSpec(kind="cyclic", n=9)
+    g = build(ConstructionSpec(kind="direct-product", factors=(nine, nine)),
+              order_cap=50)
+    assert all(f.order <= g.order_cap for f in g.factor_groups)
+    with pytest.raises(EnumerationCapError):
+        class_partition(g)
+    assert g._partition is None
+
+
+def test_product_partition_rejects_a_short_factor_partition():
+    g = build(ConstructionSpec(kind="elementary-abelian", p=3, n=2))
+    factor = class_partition(g.factor_groups[1])
+    factor.classes = factor.classes[:-1]
+    with pytest.raises(InvalidParameterError, match="covers 6 elements"):
+        class_partition(g)
 
 
 def test_class_sizes_divide_order(heisenberg27, dihedral8):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import classprod
-from classprod import ConstructionSpec
+from classprod import ConstructionSpec, build, center, corpus
 from classprod.cli import main
 
 
@@ -80,6 +80,18 @@ def test_inspect_reports_structure(affine_spec, capsys):
     assert rec["order"] == 162
     assert rec["center_size"] == 3
     assert rec["class_count"] == 22
+
+
+@pytest.mark.parametrize("spec", corpus(3, 243) + [
+    ConstructionSpec(kind="dihedral", n=8),
+    ConstructionSpec(kind="quaternion8"),
+], ids=str)
+def test_inspect_center_size_matches_center(spec, tmp_path, capsys):
+    path = tmp_path / "group.spec"
+    path.write_text(spec.to_json())
+    code, records, _ = run_cli(["inspect", "--group", str(path)], capsys)
+    assert code == 0
+    assert records[0]["center_size"] == len(center(build(spec)))
 
 
 # ---------------------------------------------------------------------------

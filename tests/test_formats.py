@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import classprod.formats as formats_mod
 from classprod import (
+    CayleyTableGroup,
     ConstructionSpec,
     FormatError,
     build,
@@ -105,6 +106,21 @@ def test_cayley_file_accepts_noncanonical_integer_tokens(tmp_path):
         _write(tmp_path, "z3p.cayley", "3\n0 1 2\n+1 002 0\n2 00 +1\n"))
     assert padded._table == plain._table
     assert padded.generators == plain.generators
+
+
+def test_cayley_file_rows_are_kept_as_loaded(tmp_path, monkeypatch):
+    passed = []
+
+    class Recording(CayleyTableGroup):
+        def __init__(self, table, **kwargs):
+            passed.append(table)
+            super().__init__(table, **kwargs)
+
+    monkeypatch.setattr(formats_mod, "CayleyTableGroup", Recording)
+    g = load_cayley_table(
+        _write(tmp_path, "z3.cayley", "3\n0 1 2\n1 2 0\n2 0 1\n"))
+    rows = passed[0]
+    assert all(g._table[i] is rows[i] for i in range(3))
 
 
 def test_cayley_file_rejects_short_table(tmp_path):

@@ -97,6 +97,18 @@ def test_cayley_rejects_shifted_identity():
         CayleyTableGroup([[1, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("table", [
+    [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+    [(0, True, 2), (True, 2, 0), (2, 0, True)],
+    [(0, 1.0, 2), (1, 2, 0), (2, 0, 1.0)],
+], ids=["lists", "bools", "floats"])
+def test_cayley_coerces_other_rows_to_exact_int_tuples(table):
+    g = CayleyTableGroup(table)
+    assert g._table == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    assert all(type(row) is tuple and {type(v) for v in row} == {int}
+               for row in g._table)
+
+
 def test_cayley_dihedral_reference_matches_construction(dihedral8):
     table = dihedral_reference_table(8)
     ref = CayleyTableGroup(table)
