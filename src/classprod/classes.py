@@ -282,21 +282,40 @@ def class_product(x: ConjugacyClass, y: ConjugacyClass) -> ClassDecomposition:
 
     The product of two classes is G-invariant, so it is a disjoint union
     of classes; they are returned sorted by representative encoding.
-    Both classes must come from the same group handle.  The product set
-    has at most min(|x|*|y|, |G|) elements, and the cap error is raised
-    before it is built when that bound exceeds the group's cap.
+    Both classes must come from the same group handle, and the cap error
+    is raised when min(|x|*|y|, |G|) exceeds the group's cap; both checks
+    run first, on either path.
+
+    Once the partition is cached, the classes are read off the |y|
+    products a*v for the fixed representative a of x: every class of
+    x*y meets a*y, since a^g*v conjugated by g^-1 is a*v^(g^-1).  A cover
+    above |x|*|y| elements is rejected.  Otherwise the whole product set
+    is built and split into orbits, which must cover it exactly.
     """
     if x.group is not y.group:
         raise GroupMismatchError(
             "cannot multiply conjugacy classes of different groups")
     g = x.group
-    bound = min(len(x._raw) * len(y._raw), g.order)
+    pairs = len(x._raw) * len(y._raw)
+    bound = min(pairs, g.order)
     if bound > g.order_cap:
         raise EnumerationCapError(
             f"the product of classes of sizes {len(x._raw)} and "
             f"{len(y._raw)} may hold {bound} elements, above the "
             f"enumeration cap {g.order_cap}")
     mul = g._mul
+    part = g._partition
+    if part is not None:
+        a = x._rep_raw
+        index_of = part._index_of
+        classes = tuple(part.classes[i] for i in
+                        sorted({index_of[mul(a, v)] for v in y._raw}))
+        total = sum(c.size for c in classes)
+        if total > pairs:
+            raise PreconditionViolatedError(
+                f"classes cover {total} elements but the product has at "
+                f"most {pairs}")
+        return ClassDecomposition(g, classes)
     product = {mul(u, v) for u in x._raw for v in y._raw}
     return ClassDecomposition(g, _decompose_raw(g, product))
 

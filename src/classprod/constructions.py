@@ -252,6 +252,12 @@ class DirectProductGroup(GroupHandle):
         for w in widths:
             self._slices.append((start, start + w))
             start += w
+        # Bound factor methods with their slices, built once: the multiply
+        # is the inner loop of every sweep over a product.
+        self._mul_parts = tuple((f._mul, a, b) for f, (a, b)
+                                in zip(self.factor_groups, self._slices))
+        self._inv_parts = tuple((f._inv, a, b) for f, (a, b)
+                                in zip(self.factor_groups, self._slices))
         order = 1
         for f in factors:
             order *= f.order
@@ -265,12 +271,10 @@ class DirectProductGroup(GroupHandle):
         super().__init__(order, ident, gens, order_cap)
 
     def _mul(self, x: bytes, y: bytes) -> bytes:
-        return b"".join(f._mul(x[a:b], y[a:b])
-                        for f, (a, b) in zip(self.factor_groups, self._slices))
+        return b"".join([mul(x[a:b], y[a:b]) for mul, a, b in self._mul_parts])
 
     def _inv(self, x: bytes) -> bytes:
-        return b"".join(f._inv(x[a:b])
-                        for f, (a, b) in zip(self.factor_groups, self._slices))
+        return b"".join([inv(x[a:b]) for inv, a, b in self._inv_parts])
 
     def _check(self, x: bytes) -> None:
         if len(x) != self._slices[-1][1]:

@@ -32,6 +32,8 @@ from classprod import (
 from classprod.classes import (
     HYPOTHESIS_EQUAL_CENTRALIZERS,
     HYPOTHESIS_SAME_SIZES,
+    ConjugacyClass,
+    _decompose_raw,
     as_subgroup,
 )
 
@@ -215,6 +217,65 @@ def test_orbit_and_product_fit_the_default_cap():
     assert x.size == 49
     d = class_product(x, x)
     assert sum(d.sizes()) <= 49 * 49
+
+
+# Every corpus group to 729 at p = 3 and to 625 at p = 5.
+GATE_GROUPS = ([(3, spec) for spec in corpus(3, 729)]
+                 + [(5, spec) for spec in corpus(5, 625)])
+
+
+def _set_path_classes(x, y):
+    """The classes of the whole product set x * y, with its cover count."""
+    g = x.group
+    return _decompose_raw(g, {g._mul(u, v) for u in x._raw for v in y._raw})
+
+
+@pytest.mark.parametrize("p,spec", GATE_GROUPS,
+                         ids=[f"p{p}-{spec}" for p, spec in GATE_GROUPS])
+def test_fixed_representative_product_matches_set_path(p, spec):
+    # with the partition cached, class_product multiplies one fixed
+    # representative of x by y; the classes and their order must equal
+    # those of the full product set, for every ordered pair of size-p
+    # classes
+    g = build(spec)
+    sized = class_partition(g).classes_of_size(p)
+    for x in sized:
+        for y in sized:
+            assert class_product(x, y).classes == _set_path_classes(x, y)
+
+
+@pytest.mark.parametrize("spec", [
+    ConstructionSpec(kind="wreath-cyclic", p=3,
+                     base=ConstructionSpec(kind="cyclic", n=3)),
+    ConstructionSpec(kind="direct-product", factors=(
+        ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=1),
+        ConstructionSpec(kind="cyclic", n=3))),
+], ids=["wreath-C3", "ES31xC3"])
+def test_product_without_partition_matches_cached_partition(spec):
+    g = build(spec)
+    sized = class_partition(g).classes_of_size(3)
+    fresh = build(spec)
+    for x in sized:
+        fx = conjugacy_class(fresh, x.representative)
+        for y in sized:
+            fy = conjugacy_class(fresh, y.representative)
+            fast = class_product(x, y).classes
+            slow = class_product(fx, fy).classes
+            assert ([(c.representative, c.size) for c in slow]
+                    == [(c.representative, c.size) for c in fast])
+    assert fresh._partition is None
+
+
+def test_fixed_representative_product_rejects_an_oversized_cover(
+        heisenberg27):
+    # a one-element "class" that is not closed under conjugation: its
+    # product with the identity class meets a class of size 3
+    part = class_partition(heisenberg27)
+    one = part.classes_of_size(1)[0]
+    big = part.classes_of_size(3)[0]
+    stray = ConjugacyClass(heisenberg27, frozenset([big._rep_raw]))
+    with pytest.raises(PreconditionViolatedError, match="cover 3 elements"):
+        class_product(one, stray)
 
 
 @pytest.mark.parametrize("fixture", [

@@ -19,7 +19,7 @@ from classprod.classes import class_partition
 from classprod.constructions import KINDS, ROLES, validate_spec
 from classprod.groups import center
 
-from conftest import assert_group_laws, brute_center
+from conftest import assert_group_laws, brute_center, sample_elements
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +108,24 @@ def test_predicted_order_matches_built(spec, order):
 ])
 def test_built_groups_satisfy_laws(spec):
     assert_group_laws(build(spec))
+
+
+def test_three_factor_product_multiplies_componentwise():
+    g = build(ConstructionSpec(kind="direct-product", factors=(
+        ConstructionSpec(kind="cyclic", n=9),
+        ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=1),
+        ConstructionSpec(kind="dihedral", n=8))))
+    assert [f.encoding_width for f in g.factor_groups] == [1, 3, 2]
+    assert_group_laws(g)
+    spans, start = [], 0
+    for f in g.factor_groups:
+        spans.append((f, start, start + f.encoding_width))
+        start += f.encoding_width
+    xs = [x.encoding for x in sample_elements(g, 400, seed=5)]
+    for x, y in zip(xs, reversed(xs)):
+        assert g._mul(x, y) == b"".join(f._mul(x[a:b], y[a:b])
+                                        for f, a, b in spans)
+        assert g._inv(x) == b"".join(f._inv(x[a:b]) for f, a, b in spans)
 
 
 def test_quaternion8_distinct_from_dihedral8(quaternion8, dihedral8):
