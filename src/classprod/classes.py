@@ -9,7 +9,6 @@ their decomposition directly; the invariant is exposed as
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -118,7 +117,7 @@ class ClassPartition:
         if isinstance(g, DirectProductGroup):
             classes, assigned = _product_classes(g)
         else:
-            classes, assigned = _scan_classes(g, elements)
+            classes, assigned = _peel(g, elements)
         if len(assigned) != g.order:
             raise InvalidParameterError(
                 f"class partition covers {len(assigned)} elements but the "
@@ -146,22 +145,40 @@ class ClassPartition:
         return dict(sorted(out.items()))
 
 
-def _scan_classes(g: GroupHandle, elements: tuple[bytes, ...]):
-    """Peel one conjugation orbit per unassigned element.
+def _peel(g: GroupHandle, raws: Iterable[bytes]):
+    """Peel one conjugation orbit per element of ``raws`` not yet covered.
 
-    The scan visits encodings in ascending order, so each class is first
-    met at its least member and the list is already sorted by
-    representative.
+    Returns the classes in the order first met and the index of each
+    covered element's class.  Walked in ascending order over a whole
+    group, each class is first met at its least member, so the list is
+    already sorted by representative.
     """
     assigned: dict[bytes, int] = {}
     classes: list[ConjugacyClass] = []
-    for raw in elements:
+    for raw in raws:
         if raw in assigned:
             continue
         orbit = _orbit_raw(g, raw)
         assigned.update(dict.fromkeys(orbit, len(classes)))
         classes.append(ConjugacyClass(g, orbit))
     return classes, assigned
+
+
+def _classes_meeting(g: GroupHandle,
+                     raws: Iterable[bytes]) -> tuple[ConjugacyClass, ...]:
+    """The classes of ``g`` that meet ``raws``, sorted by representative.
+
+    Read off the cached partition when there is one; otherwise peeled
+    orbit by orbit, walking the set in ascending order so the result
+    never depends on iteration order.
+    """
+    part = g._partition
+    if part is not None:
+        index_of = part._index_of
+        return tuple(part.classes[i] for i in
+                     sorted({index_of[raw] for raw in raws}))
+    classes, _ = _peel(g, sorted(raws))
+    return tuple(sorted(classes, key=lambda c: c._rep_raw))
 
 
 def _product_classes(g: DirectProductGroup):
@@ -244,36 +261,15 @@ def _decompose_raw(g: GroupHandle,
                    members: set[bytes]) -> tuple[ConjugacyClass, ...]:
     """Split a raw G-invariant set into classes.
 
-    Uses the cached whole-group partition when one exists; otherwise
-    peels orbits off directly, always starting from the least remaining
-    encoding, so the class order never depends on anything but the set.
+    The classes meeting a set cover it exactly if and only if the set is
+    closed under conjugation, so one count checks the precondition.
     """
-    if g._partition is not None:
-        index_of = g._partition._index_of
-        seen_idx = sorted({index_of[raw] for raw in members})
-        classes = tuple(g._partition.classes[i] for i in seen_idx)
-    else:
-        remaining = set(members)
-        heap = list(remaining)
-        heapq.heapify(heap)
-        out = []
-        while remaining:
-            while heap[0] not in remaining:
-                heapq.heappop(heap)
-            seed = heapq.heappop(heap)
-            orbit = _orbit_raw(g, seed)
-            stray = orbit - remaining
-            if stray:
-                raise PreconditionViolatedError(
-                    "set is not closed under conjugation; the class of "
-                    f"{seed.hex()} leaves it (e.g. {min(stray).hex()})")
-            remaining -= orbit
-            out.append(ConjugacyClass(g, orbit))
-        classes = tuple(sorted(out, key=lambda c: c._rep_raw))
+    classes = _classes_meeting(g, members)
     total = sum(c.size for c in classes)
     if total != len(members):
         raise PreconditionViolatedError(
-            f"classes cover {total} elements but the set has {len(members)}")
+            f"classes cover {total} elements but the set has "
+            f"{len(members)}: it is not closed under conjugation")
     return classes
 
 
@@ -284,13 +280,12 @@ def class_product(x: ConjugacyClass, y: ConjugacyClass) -> ClassDecomposition:
     of classes; they are returned sorted by representative encoding.
     Both classes must come from the same group handle, and the cap error
     is raised when min(|x|*|y|, |G|) exceeds the group's cap; both checks
-    run first, on either path.
+    run first.
 
-    Once the partition is cached, the classes are read off the |y|
-    products a*v for the fixed representative a of x: every class of
-    x*y meets a*y, since a^g*v conjugated by g^-1 is a*v^(g^-1).  A cover
-    above |x|*|y| elements is rejected.  Otherwise the whole product set
-    is built and split into orbits, which must cover it exactly.
+    The classes are read off the |y| products a*v for the fixed
+    representative a of x: every class of x*y meets a*y, since a^g*v
+    conjugated by g^-1 is a*v^(g^-1).  No product set is built, so a
+    cover above |x|*|y| elements is rejected instead.
     """
     if x.group is not y.group:
         raise GroupMismatchError(
@@ -304,20 +299,14 @@ def class_product(x: ConjugacyClass, y: ConjugacyClass) -> ClassDecomposition:
             f"{len(y._raw)} may hold {bound} elements, above the "
             f"enumeration cap {g.order_cap}")
     mul = g._mul
-    part = g._partition
-    if part is not None:
-        a = x._rep_raw
-        index_of = part._index_of
-        classes = tuple(part.classes[i] for i in
-                        sorted({index_of[mul(a, v)] for v in y._raw}))
-        total = sum(c.size for c in classes)
-        if total > pairs:
-            raise PreconditionViolatedError(
-                f"classes cover {total} elements but the product has at "
-                f"most {pairs}")
-        return ClassDecomposition(g, classes)
-    product = {mul(u, v) for u in x._raw for v in y._raw}
-    return ClassDecomposition(g, _decompose_raw(g, product))
+    a = x._rep_raw
+    classes = _classes_meeting(g, [mul(a, v) for v in y._raw])
+    total = sum(c.size for c in classes)
+    if total > pairs:
+        raise PreconditionViolatedError(
+            f"classes cover {total} elements but the product has at "
+            f"most {pairs}")
+    return ClassDecomposition(g, classes)
 
 
 def decompose_invariant_set(g: GroupHandle,

@@ -226,10 +226,9 @@ def _sweep(theorem: str, p: int | None, desc: dict, g: GroupHandle,
     of each orbit), and counted with its weight in ordered pairs.  So
     ``rule`` must be invariant under central translation of either
     class, and for square sweeps under swapping them.  A block the rule
-    rejects is expanded into one violation per pair it covers.  The
-    partition is cached before the loop, so ``class_product`` multiplies
-    one fixed representative of x by y and each block costs |y|
-    multiplications.
+    rejects is expanded into one violation per pair it covers.
+    ``class_product`` multiplies one fixed representative of x by y, so
+    each block costs |y| multiplications.
     """
     part = class_partition(g)
     sized = part.classes_of_size(size)

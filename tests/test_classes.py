@@ -244,25 +244,26 @@ def test_fixed_representative_product_matches_set_path(p, spec):
             assert class_product(x, y).classes == _set_path_classes(x, y)
 
 
-@pytest.mark.parametrize("spec", [
-    ConstructionSpec(kind="wreath-cyclic", p=3,
-                     base=ConstructionSpec(kind="cyclic", n=3)),
-    ConstructionSpec(kind="direct-product", factors=(
-        ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=1),
-        ConstructionSpec(kind="cyclic", n=3))),
-], ids=["wreath-C3", "ES31xC3"])
-def test_product_without_partition_matches_cached_partition(spec):
+# Every corpus group to 243 at p = 3 and to 125 at p = 5.
+FRESH_GATE_GROUPS = ([(3, spec) for spec in corpus(3, 243)]
+                     + [(5, spec) for spec in corpus(5, 125)])
+
+
+@pytest.mark.parametrize("p,spec", FRESH_GATE_GROUPS,
+                         ids=[f"p{p}-{spec}" for p, spec in FRESH_GATE_GROUPS])
+def test_product_without_partition_matches_set_path(p, spec):
+    # a handle with no partition peels the classes meeting a*y orbit by
+    # orbit; they must equal the classes of the full product set, split
+    # through another handle's cached partition
     g = build(spec)
-    sized = class_partition(g).classes_of_size(3)
+    sized = class_partition(g).classes_of_size(p)
     fresh = build(spec)
     for x in sized:
         fx = conjugacy_class(fresh, x.representative)
         for y in sized:
             fy = conjugacy_class(fresh, y.representative)
-            fast = class_product(x, y).classes
-            slow = class_product(fx, fy).classes
-            assert ([(c.representative, c.size) for c in slow]
-                    == [(c.representative, c.size) for c in fast])
+            assert ([c.members for c in class_product(fx, fy).classes]
+                    == [c.members for c in _set_path_classes(x, y)])
     assert fresh._partition is None
 
 
@@ -288,19 +289,29 @@ def test_eta_matches_brute_force(fixture, request):
             assert eta(g, a, b) == brute_eta(g, a, b)
 
 
-def test_decomposition_classes_cover_product(wreath81):
-    for a in sample_elements(wreath81, 6, seed=3):
-        for b in sample_elements(wreath81, 6, seed=4):
-            d = class_product(conjugacy_class(wreath81, a),
-                              conjugacy_class(wreath81, b))
+WREATH81 = ConstructionSpec(kind="wreath-cyclic", p=3,
+                            base=ConstructionSpec(kind="cyclic", n=3))
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
+def test_decomposition_classes_cover_product(cached):
+    g = build(WREATH81)
+    if cached:
+        class_partition(g)
+    for a in sample_elements(g, 6, seed=3):
+        for b in sample_elements(g, 6, seed=4):
+            x, y = conjugacy_class(g, a), conjugacy_class(g, b)
+            d = class_product(x, y)
+            product = {g.multiply(u, v) for u in x.members for v in y.members}
             union = set()
             for cls in d.classes:
-                assert cls.members <= d.source
+                assert cls.members <= product
                 union |= cls.members
-            assert union == d.source
+            assert union == product
             assert d.eta == len(d.classes)
             reps = [cls.representative for cls in d.classes]
             assert reps == sorted(reps)
+    assert (g._partition is not None) == cached
 
 
 def test_eta_is_symmetric(heisenberg27):
@@ -315,14 +326,20 @@ def test_decompose_invariant_set_whole_group(dihedral8):
     assert d.eta == len(class_partition(dihedral8))
 
 
-def test_decompose_invariant_set_rejects_partial_class(dihedral8):
-    rot = dihedral8.generators[0]
-    cls = conjugacy_class(dihedral8, rot)
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
+def test_decompose_invariant_set_rejects_partial_class(cached):
+    g = build(ConstructionSpec(kind="dihedral", n=8))
+    if cached:
+        class_partition(g)
+    rot = g.generators[0]
+    cls = conjugacy_class(g, rot)
     broken = set(cls.members)
     broken.pop()
-    broken.add(dihedral8.identity)
-    with pytest.raises(Exception):
-        decompose_invariant_set(dihedral8, broken)
+    broken.add(g.identity)
+    with pytest.raises(PreconditionViolatedError,
+                       match="not closed under conjugation"):
+        decompose_invariant_set(g, broken)
+    assert (g._partition is not None) == cached
 
 
 # ---------------------------------------------------------------------------

@@ -272,13 +272,13 @@ def test_reproduce_identical_across_runs(tmp_path, capsys):
 # the installed console script
 
 
-def _python(*args):
+def _python(*args, **env):
     """Run this interpreter with the imported package's source on its path."""
     src = os.path.dirname(os.path.dirname(classprod.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 def test_console_script_smoke(affine_spec):
@@ -287,6 +287,18 @@ def test_console_script_smoke(affine_spec):
     assert proc.returncode == 0
     rec = json.loads(proc.stdout.strip())
     assert rec["eta"] == 2
+
+
+def test_stdout_does_not_depend_on_hash_seed(affine_spec):
+    # neither command caches a partition, so their classes are peeled
+    # from sets whose iteration order follows the hash seed
+    for args in (["product", "--group", affine_spec, "--a", "g1", "--b", "g1"],
+                 ["reproduce", "--p", "5"]):
+        runs = [_python("-m", "classprod", *args, PYTHONHASHSEED=seed)
+                for seed in ("0", "1")]
+        assert runs[0].returncode == 0, runs[0].stderr
+        assert runs[1].returncode == 0, runs[1].stderr
+        assert runs[0].stdout == runs[1].stdout
 
 
 def test_console_script_usage_error():
