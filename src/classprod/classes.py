@@ -21,7 +21,7 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .constructions import DirectProductGroup
-from .groups import Element, GroupHandle, SubgroupView, centralizer
+from .groups import Element, GroupHandle, SubgroupView, _reach, centralizer
 from .util import _require_odd_prime
 
 
@@ -78,23 +78,9 @@ def _orbit_raw(g: GroupHandle, seed: bytes) -> frozenset[bytes]:
     """
     pairs = [(gr, g._inv(gr)) for gr in g._generators_raw]
     mul = g._mul
-    cap = g.order_cap
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gen, geninv in pairs:
-                y = mul(mul(geninv, x), gen)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        raise EnumerationCapError(
-                            f"conjugacy class of {seed.hex()} exceeds the "
-                            f"enumeration cap {cap}")
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(_reach(
+        [seed], lambda x: (mul(mul(geninv, x), gen) for gen, geninv in pairs),
+        g.order_cap, f"conjugacy class of {seed.hex()}"))
 
 
 def conjugacy_class(g: GroupHandle, a: Element) -> ConjugacyClass:
@@ -377,27 +363,23 @@ def eta_one_criterion(g: GroupHandle, a: Element, b: Element,
     """
     g._check(a.encoding)
     g._check(b.encoding)
-    ab = Element(g._mul(a.encoding, b.encoding))
-    if hypothesis == HYPOTHESIS_SAME_SIZES:
-        na = len(_orbit_raw(g, a.encoding))
-        nb = len(_orbit_raw(g, b.encoding))
-        nab = len(_orbit_raw(g, ab.encoding))
-        if not na == nb == nab:
-            raise PreconditionViolatedError(
-                f"hypothesis {hypothesis!r} fails: |a^G|={na}, |b^G|={nb}, "
-                f"|(ab)^G|={nab}")
-    elif hypothesis == HYPOTHESIS_EQUAL_CENTRALIZERS:
-        if centralizer(g, a) != centralizer(g, b):
-            raise PreconditionViolatedError(
-                f"hypothesis {hypothesis!r} fails: the centralizers of a and "
-                "b differ")
-    else:
+    if hypothesis not in (HYPOTHESIS_SAME_SIZES, HYPOTHESIS_EQUAL_CENTRALIZERS):
         raise InvalidParameterError(
             f"unknown hypothesis {hypothesis!r}; expected "
             f"{HYPOTHESIS_SAME_SIZES!r} or {HYPOTHESIS_EQUAL_CENTRALIZERS!r}")
-    ka = commutator_set(g, a).elements
-    kb = commutator_set(g, b).elements
-    kab = commutator_set(g, ab).elements
+    if (hypothesis == HYPOTHESIS_EQUAL_CENTRALIZERS
+            and centralizer(g, a) != centralizer(g, b)):
+        raise PreconditionViolatedError(
+            f"hypothesis {hypothesis!r} fails: the centralizers of a and "
+            "b differ")
+    ab = Element(g._mul(a.encoding, b.encoding))
+    # |[x,G]| = |x^G|, so the commutator sets give the class sizes too.
+    ka, kb, kab = (commutator_set(g, x).elements for x in (a, b, ab))
+    if (hypothesis == HYPOTHESIS_SAME_SIZES
+            and not len(ka) == len(kb) == len(kab)):
+        raise PreconditionViolatedError(
+            f"hypothesis {hypothesis!r} fails: |a^G|={len(ka)}, "
+            f"|b^G|={len(kb)}, |(ab)^G|={len(kab)}")
     if not ka == kb == kab:
         return False
     view = as_subgroup(g, kab)

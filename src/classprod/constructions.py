@@ -30,21 +30,24 @@ from .groups import (
 )
 from .util import _require_odd_prime, _require_prime, int_byte_width
 
-KINDS = (
-    "cyclic",
-    "elementary-abelian",
-    "dihedral",
-    "quaternion8",
-    "extraspecial-exponent-p",
-    "direct-product",
-    "wreath-cyclic",
-    "affine-wreath",
-    "iterated-wreath-sylow",
-)
-
 ROLES = ("a-standard", "b-double", "noncentral-witness")
 
-_FIELDS = ("kind", "p", "l", "n", "copies", "base", "factors", "role")
+_FIELDS = ("kind", "p", "l", "n", "copies", "base", "factors")
+
+#: The spec fields each kind reads; validation rejects any other set field.
+_KIND_FIELDS = {
+    "cyclic": ("n",),
+    "elementary-abelian": ("p", "n"),
+    "dihedral": ("n",),
+    "quaternion8": (),
+    "extraspecial-exponent-p": ("p", "l"),
+    "direct-product": ("factors",),
+    "wreath-cyclic": ("p", "base"),
+    "affine-wreath": ("p",),
+    "iterated-wreath-sylow": ("p", "copies"),
+}
+
+KINDS = tuple(_KIND_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,6 @@ class ConstructionSpec:
     copies: int | None = None
     base: "ConstructionSpec | None" = None
     factors: tuple["ConstructionSpec", ...] = ()
-    role: str | None = None
 
     def to_plain(self) -> dict:
         """JSON-ready dict with only the fields this kind uses."""
@@ -71,8 +73,6 @@ class ConstructionSpec:
             out["base"] = self.base.to_plain()
         if self.factors:
             out["factors"] = [f.to_plain() for f in self.factors]
-        if self.role is not None:
-            out["role"] = self.role
         return out
 
     @staticmethod
@@ -99,10 +99,6 @@ class ConstructionSpec:
                 raise InvalidParameterError("field 'factors' must be a list")
             kwargs["factors"] = tuple(ConstructionSpec.from_plain(f)
                                       for f in obj["factors"])
-        if "role" in obj:
-            if not isinstance(obj["role"], str):
-                raise InvalidParameterError("field 'role' must be a string")
-            kwargs["role"] = obj["role"]
         return ConstructionSpec(**kwargs)
 
     def to_json(self) -> str:
@@ -136,6 +132,11 @@ def validate_spec(spec: ConstructionSpec) -> None:
     kind = spec.kind
     if kind not in KINDS:
         raise InvalidParameterError(f"unknown construction kind {kind!r}")
+    for name in _FIELDS[1:]:
+        if getattr(spec, name) not in (None, ()) \
+                and name not in _KIND_FIELDS[kind]:
+            raise InvalidParameterError(
+                f"{kind} does not read the spec field {name!r}")
     if kind == "cyclic":
         if spec.n is None or spec.n < 1:
             raise InvalidParameterError("cyclic needs an order n >= 1")

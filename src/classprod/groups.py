@@ -4,6 +4,9 @@ Every backend realizes one small kernel (identity, multiply, inverse,
 generators, enumeration) on opaque fixed-width byte strings.  Orbit and
 closure code upstream can therefore dedup with plain hash sets and pick
 canonical representatives by byte order, independent of the backend.
+Every breadth-first closure (conjugation orbits, generated subgroups,
+permutation groups, table closures) runs through :func:`_reach`, which
+also holds the one enumeration-cap check for all of them.
 
 Handles are immutable after construction and safe to share; the only
 mutation is idempotent caching (the sorted element list and the class
@@ -32,6 +35,29 @@ DEFAULT_ORDER_CAP = 200_000
 #: A quotient materializes an explicit multiplication table, which is
 #: quadratic in the quotient order; keep that honest.
 QUOTIENT_TABLE_CAP = 4096
+
+
+def _reach(start: Iterable, step, cap: int, what: str) -> set:
+    """Everything reachable from ``start`` by repeated ``step``, breadth first.
+
+    ``step(x)`` yields the items one step from x; the frontier is walked
+    in the order ``start`` is given, so the order of calls is fixed.
+    Raises the cap error as soon as more than ``cap`` items are reached.
+    """
+    frontier = list(start)
+    seen = set(frontier)
+    while frontier:
+        new = []
+        for x in frontier:
+            for z in step(x):
+                if z not in seen:
+                    seen.add(z)
+                    new.append(z)
+                    if len(seen) > cap:
+                        raise EnumerationCapError(
+                            f"{what} exceeds the enumeration cap {cap}")
+        frontier = new
+    return seen
 
 
 class Element(NamedTuple):
@@ -272,18 +298,8 @@ class CayleyTableGroup(GroupHandle):
 
     @staticmethod
     def _mulclose(rows, gens) -> set[int]:
-        known = {0}
-        frontier = [0]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    z = rows[a][g]
-                    if z not in known:
-                        known.add(z)
-                        new.append(z)
-            frontier = new
-        return known
+        return _reach([0], lambda a: map(rows[a].__getitem__, gens),
+                      len(rows), "table closure")
 
     @classmethod
     def _greedy_generators(cls, rows) -> list[int]:
@@ -347,20 +363,9 @@ class PermutationGroup(GroupHandle):
             raw_gens.append(bytes(g))
         self.degree = degree
         ident = bytes(range(degree))
-        elems = {ident}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in raw_gens:
-                    z = bytes(map(g.__getitem__, a))
-                    if z not in elems:
-                        if len(elems) >= order_cap:
-                            raise EnumerationCapError(
-                                f"permutation closure exceeded the cap {order_cap}")
-                        elems.add(z)
-                        new.append(z)
-            frontier = new
+        elems = _reach([ident], lambda a: (bytes(map(g.__getitem__, a))
+                                           for g in raw_gens),
+                       order_cap, "permutation closure")
         self._element_set = frozenset(elems)
         super().__init__(len(elems), ident, raw_gens, order_cap)
 
@@ -443,22 +448,10 @@ def closure(g: GroupHandle, seed: Iterable[Element]) -> SubgroupView:
         raise InvalidParameterError("closure needs a nonempty seed")
     for s in seeds:
         g._check(s)
-    known = {g._identity_raw}
-    known.update(seeds)
-    frontier = sorted(known)
-    while frontier:
-        new = []
-        for a in frontier:
-            for s in seeds:
-                z = g._mul(a, s)
-                if z not in known:
-                    known.add(z)
-                    new.append(z)
-                    if len(known) > g.order_cap:
-                        raise EnumerationCapError(
-                            f"closure exceeded the enumeration cap "
-                            f"{g.order_cap}")
-        frontier = new
+    mul = g._mul
+    known = _reach(sorted({g._identity_raw, *seeds}),
+                   lambda a: (mul(a, s) for s in seeds),
+                   g.order_cap, "subgroup closure")
     return SubgroupView(g, (Element(b) for b in known))
 
 

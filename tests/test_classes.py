@@ -203,6 +203,16 @@ def test_orbit_past_the_cap_raises():
         conjugacy_class(g, g.generators[0])
 
 
+def test_orbit_cap_boundary():
+    # the class has 49 elements: a cap of 48 stops the orbit, 49 admits it
+    g = build(BIG_WREATH, order_cap=48)
+    with pytest.raises(EnumerationCapError,
+                       match="exceeds the enumeration cap 48"):
+        conjugacy_class(g, g.generators[0])
+    g = build(BIG_WREATH, order_cap=49)
+    assert conjugacy_class(g, g.generators[0]).size == 49
+
+
 def test_class_product_past_the_cap_raises():
     g = build(BIG_WREATH, order_cap=1000)
     x = conjugacy_class(g, g.generators[0])
@@ -450,7 +460,7 @@ def test_eta_one_criterion_checks_hypothesis(dihedral8):
 
 
 def test_eta_one_criterion_rejects_unknown_hypothesis(dihedral8):
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidParameterError, match="unknown hypothesis"):
         eta_one_criterion(dihedral8, dihedral8.identity, dihedral8.identity,
                           hypothesis="whatever")
 

@@ -94,6 +94,15 @@ def test_inspect_center_size_matches_center(spec, tmp_path, capsys):
     assert records[0]["center_size"] == len(center(build(spec)))
 
 
+def test_inspect_rejects_field_the_kind_does_not_read(tmp_path, capsys):
+    path = tmp_path / "group.spec"
+    path.write_text(json.dumps({"kind": "cyclic", "n": 9, "p": 5}))
+    code, records, err = run_cli(["inspect", "--group", str(path)], capsys)
+    assert code == 1
+    assert records == []
+    assert "'p'" in json.loads(err)["message"]
+
+
 # ---------------------------------------------------------------------------
 # verify / reproduce / spectrum behavior and exit codes
 

@@ -34,14 +34,34 @@ def test_spec_json_round_trip():
     assert again == spec
 
 
-def test_spec_plain_round_trip_all_corpus_members():
-    for spec in corpus(3, 729) + corpus(2, 64):
+@pytest.mark.parametrize("p,max_order", [(2, 64), (3, 729), (5, 78125)])
+def test_spec_plain_round_trip_all_corpus_members(p, max_order):
+    for spec in corpus(p, max_order):
+        validate_spec(spec)
         assert ConstructionSpec.from_plain(spec.to_plain()) == spec
 
 
-def test_spec_rejects_unknown_fields():
-    with pytest.raises(InvalidParameterError):
-        ConstructionSpec.from_plain({"kind": "cyclic", "n": 3, "frobs": 1})
+@pytest.mark.parametrize("field", ["frobs", "role"])
+def test_spec_rejects_unknown_fields(field):
+    with pytest.raises(InvalidParameterError,
+                       match=f"unknown spec fields: {field}"):
+        ConstructionSpec.from_plain({"kind": "cyclic", "n": 3, field: "x"})
+
+
+@pytest.mark.parametrize("plain,field", [
+    ({"kind": "cyclic", "n": 9, "p": 5}, "p"),
+    ({"kind": "quaternion8", "n": 8}, "n"),
+    ({"kind": "wreath-cyclic", "p": 3, "base": {"kind": "cyclic", "n": 3},
+      "factors": [{"kind": "cyclic", "n": 3}]}, "factors"),
+    ({"kind": "direct-product", "factors": [{"kind": "cyclic", "n": 3,
+                                             "l": 1}]}, "l"),
+], ids=["cyclic-p", "quaternion8-n", "wreath-factors", "factor-l"])
+def test_spec_rejects_fields_its_kind_does_not_read(plain, field):
+    spec = ConstructionSpec.from_plain(plain)
+    for check in (validate_spec, build, predicted_order,
+                  lambda s: distinguished_element(s, "a-standard")):
+        with pytest.raises(InvalidParameterError, match=repr(field)):
+            check(spec)
 
 
 def test_spec_rejects_unknown_kind():

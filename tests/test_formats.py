@@ -198,7 +198,7 @@ def test_spec_file_loads(tmp_path):
 
 def test_spec_file_rejects_unknown_field(tmp_path):
     path = _write(tmp_path, "g.spec", json.dumps({"kind": "cyclic", "z": 1}))
-    with pytest.raises(Exception):
+    with pytest.raises(FormatError, match="unknown spec fields: z"):
         load_construction_spec(path)
 
 

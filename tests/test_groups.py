@@ -263,12 +263,21 @@ def test_closure_cap_is_checked_per_element():
         return products[-1]
 
     g._mul = recording_mul
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(EnumerationCapError,
+                       match="exceeds the enumeration cap 26"):
         closure(g, g.generators)
     # the closure stops at the product that first takes it past the cap
     start = {g._identity_raw, *g._generators_raw}
     assert len(start.union(products)) == 27
     assert products[-1] not in start.union(products[:-1])
+
+
+def test_permutation_closure_cap_boundary():
+    spec = ConstructionSpec(kind="iterated-wreath-sylow", p=3, copies=2)
+    with pytest.raises(EnumerationCapError,
+                       match="exceeds the enumeration cap 80"):
+        build(spec, order_cap=80)
+    assert build(spec, order_cap=81).order == 81
 
 
 def test_closure_of_reflection_not_normal(dihedral8):
