@@ -110,6 +110,9 @@ class ClassPartition:
                 f"group has order {g.order}")
         self.classes: tuple[ConjugacyClass, ...] = tuple(classes)
         self._index_of = assigned
+        # The caches of class_product's central-commutator path.
+        self._commutators: dict[int, frozenset[bytes] | None] = {}
+        self._translates: dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -259,6 +262,31 @@ def _decompose_raw(g: GroupHandle,
     return classes
 
 
+def _central_commutators(part: ClassPartition,
+                         y: ConjugacyClass) -> frozenset[bytes] | None:
+    """[y,G] = y^-1 * y^G when y is a class of ``part`` and [y,G] is central.
+
+    Built once per class with |y| multiplications, cached by class index.
+    A set that only shares its representative with a class gets None.
+    """
+    j = part._index_of[y._rep_raw]
+    if part.classes[j] is not y and part.classes[j]._raw != y._raw:
+        return None
+    if j not in part._commutators:
+        g = part.group
+        yinv = g._inv(y._rep_raw)
+        comm = frozenset(g._mul(yinv, v) for v in y._raw)
+        part._commutators[j] = comm if all(
+            part.classes[part._index_of[c]].size == 1 for c in comm) else None
+    return part._commutators[j]
+
+
+def _covering(g: GroupHandle, raws: list[bytes]):
+    """The decomposition into the classes meeting ``raws``, and its size."""
+    classes = _classes_meeting(g, raws)
+    return ClassDecomposition(g, classes), sum(c.size for c in classes)
+
+
 def class_product(x: ConjugacyClass, y: ConjugacyClass) -> ClassDecomposition:
     """Decompose the product set x * y into conjugacy classes.
 
@@ -272,6 +300,10 @@ def class_product(x: ConjugacyClass, y: ConjugacyClass) -> ClassDecomposition:
     representative a of x: every class of x*y meets a*y, since a^g*v
     conjugated by g^-1 is a*v^(g^-1).  No product set is built, so a
     cover above |x|*|y| elements is rejected instead.
+
+    With a cached partition, y one of its classes and [y,G] central,
+    a*y^G = (a*y)[y,G] meets the translates (a*y)^G c: one multiplication
+    a*y, and the translates' classes memoised on the partition.
     """
     if x.group is not y.group:
         raise GroupMismatchError(
@@ -286,13 +318,21 @@ def class_product(x: ConjugacyClass, y: ConjugacyClass) -> ClassDecomposition:
             f"enumeration cap {g.order_cap}")
     mul = g._mul
     a = x._rep_raw
-    classes = _classes_meeting(g, [mul(a, v) for v in y._raw])
-    total = sum(c.size for c in classes)
+    part = g._partition
+    comm = None if part is None else _central_commutators(part, y)
+    if comm is None:
+        d, total = _covering(g, [mul(a, v) for v in y._raw])
+    else:
+        w = part._index_of[mul(a, y._rep_raw)]
+        if (w, comm) not in part._translates:
+            r = part.classes[w]._rep_raw
+            part._translates[w, comm] = _covering(g, [mul(r, c) for c in comm])
+        d, total = part._translates[w, comm]
     if total > pairs:
         raise PreconditionViolatedError(
             f"classes cover {total} elements but the product has at "
             f"most {pairs}")
-    return ClassDecomposition(g, classes)
+    return d
 
 
 def decompose_invariant_set(g: GroupHandle,

@@ -228,7 +228,7 @@ def _sweep(theorem: str, p: int | None, desc: dict, g: GroupHandle,
     class, and for square sweeps under swapping them.  A block the rule
     rejects is expanded into one violation per pair it covers.
     ``class_product`` multiplies one fixed representative of x by y, so
-    each block costs |y| multiplications.
+    a block costs one multiplication if [y,G] is central, else |y|.
     """
     part = class_partition(g)
     sized = part.classes_of_size(size)

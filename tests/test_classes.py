@@ -33,6 +33,7 @@ from classprod.classes import (
     HYPOTHESIS_EQUAL_CENTRALIZERS,
     HYPOTHESIS_SAME_SIZES,
     ConjugacyClass,
+    _central_commutators,
     _decompose_raw,
     as_subgroup,
 )
@@ -287,6 +288,75 @@ def test_fixed_representative_product_rejects_an_oversized_cover(
     stray = ConjugacyClass(heisenberg27, frozenset([big._rep_raw]))
     with pytest.raises(PreconditionViolatedError, match="cover 3 elements"):
         class_product(one, stray)
+
+
+def test_stray_set_leaves_no_trace_in_the_partition_caches():
+    # a one-element "class" sharing each real class's representative, on
+    # either side of a product; the real classes' products afterwards
+    # must still equal those of the full product set
+    g = build(ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=1))
+    part = class_partition(g)
+    one = part.classes_of_size(1)[0]
+    sized = part.classes_of_size(3)
+    for y in sized:
+        stray = ConjugacyClass(g, frozenset([y._rep_raw]))
+        assert _central_commutators(part, stray) is None
+        with pytest.raises(PreconditionViolatedError,
+                           match="cover 3 elements"):
+            class_product(one, stray)
+        for x in sized:
+            class_product(x, stray)
+    for x in sized:
+        for y in sized:
+            assert class_product(x, y).classes == _set_path_classes(x, y)
+
+
+# (size-p classes whose [y,G] is central, size-p classes) of every
+# nonabelian corpus group to 729 at p = 3 and to 3125 at p = 5
+SHORTCUT_COUNTS = {
+    "extraspecial-exponent-p(p=3, l=1)": (8, 8),
+    "extraspecial-exponent-p(p=3, l=2)": (80, 80),
+    "direct-product(factors=[extraspecial-exponent-p(p=3, l=1), "
+    "cyclic(n=3)])": (24, 24),
+    "direct-product(factors=[extraspecial-exponent-p(p=3, l=1), "
+    "cyclic(n=9)])": (72, 72),
+    "direct-product(factors=[extraspecial-exponent-p(p=3, l=1), "
+    "cyclic(n=27)])": (216, 216),
+    "direct-product(factors=[extraspecial-exponent-p(p=3, l=2), "
+    "cyclic(n=3)])": (240, 240),
+    "wreath-cyclic(p=3, base=cyclic(n=3))": (2, 8),
+    "iterated-wreath-sylow(p=3, copies=2)": (2, 8),
+    "extraspecial-exponent-p(p=5, l=1)": (24, 24),
+    "extraspecial-exponent-p(p=5, l=2)": (624, 624),
+    "direct-product(factors=[extraspecial-exponent-p(p=5, l=1), "
+    "cyclic(n=5)])": (120, 120),
+    "direct-product(factors=[extraspecial-exponent-p(p=5, l=1), "
+    "cyclic(n=25)])": (600, 600),
+}
+SHORTCUT_GROUPS = [(p, spec) for p, n in ((3, 729), (5, 3125))
+                   for spec in corpus(p, n) if str(spec) in SHORTCUT_COUNTS]
+
+
+@pytest.mark.parametrize("p,spec", SHORTCUT_GROUPS,
+                         ids=[f"p{p}-{spec}" for p, spec in SHORTCUT_GROUPS])
+def test_central_commutator_shortcut_classes(p, spec):
+    # class_product translates by [y,G] exactly when it is central; the
+    # cached set must equal commutator_set and lie in the centre, and
+    # every other size-p class must have a non-central [y,G]
+    g = build(spec)
+    part = class_partition(g)
+    z = center(g)._raw
+    sized = part.classes_of_size(p)
+    hits = 0
+    for y in sized:
+        comm = {c.encoding for c in commutator_set(g, y.representative)}
+        cached = _central_commutators(part, y)
+        assert (cached is not None) == (comm <= z)
+        if cached is not None:
+            assert cached == comm
+            hits += 1
+    assert (hits, len(sized)) == SHORTCUT_COUNTS[str(spec)]
+    assert len(SHORTCUT_GROUPS) == len(SHORTCUT_COUNTS)
 
 
 @pytest.mark.parametrize("fixture", [

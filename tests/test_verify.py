@@ -1,5 +1,6 @@
 """Verifiers, reproduction checks, reports, and the eta spectrum."""
 
+import itertools
 import json
 from collections import Counter
 from types import SimpleNamespace
@@ -360,6 +361,42 @@ def test_sweep_matches_per_pair_oracle(p, spec, monkeypatch):
     fast = [check(g, p, desc).to_record() for check in checkers]
     monkeypatch.setattr(verify_mod, "_sweep", pair_sweep)
     assert [check(g, p, desc).to_record() for check in checkers] == fast
+
+
+ES32_C3 = ConstructionSpec(kind="direct-product", factors=(
+    ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=2),
+    ConstructionSpec(kind="cyclic", n=3)))
+
+
+def _partition_and_sweep_muls(spec, p):
+    """Multiplications of a fresh handle's partition and spectrum sweep.
+
+    Counted as the benchmark's traced pass counts them: by wrapping the
+    handle's ``_mul`` as an instance attribute.
+    """
+    g = build(spec)
+    counter = itertools.count()
+    raw = g._mul
+
+    def counted(x, y):
+        next(counter)
+        return raw(x, y)
+
+    g._mul = counted
+    class_partition(g)
+    spectrum_for_group(g, p)
+    del g._mul
+    return next(counter)
+
+
+def test_multiplication_count_depends_only_on_the_group():
+    # the memo of the central-commutator path lives on each handle's
+    # partition, so a second handle repeats the count exactly; one
+    # multiplication per block instead of |y| needs under half of the
+    # 10,440 a sweep took when every block cost |y|
+    first = _partition_and_sweep_muls(ES32_C3, 3)
+    assert first == _partition_and_sweep_muls(ES32_C3, 3)
+    assert first < 10_440 // 2
 
 
 @pytest.mark.parametrize("spec", [
