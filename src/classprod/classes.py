@@ -110,6 +110,7 @@ class ClassPartition:
                 f"group has order {g.order}")
         self.classes: tuple[ConjugacyClass, ...] = tuple(classes)
         self._index_of = assigned
+        self._center = frozenset(c._rep_raw for c in classes if c.size == 1)
         # The caches of class_product's central-commutator path.
         self._commutators: dict[int, frozenset[bytes] | None] = {}
         self._translates: dict[tuple, tuple] = {}
@@ -132,6 +133,18 @@ class ClassPartition:
         for c in self.classes:
             out[c.size] = out.get(c.size, 0) + 1
         return dict(sorted(out.items()))
+
+    def center_orbits(self, size: int) -> list[tuple[ConjugacyClass, ...]]:
+        """The size-``size`` classes in orbits x*Z under the centre Z,
+        each sorted, so led by its least class, in order of leaders."""
+        orbits: list[tuple[ConjugacyClass, ...]] = []
+        placed: set[ConjugacyClass] = set()
+        for c in self.classes_of_size(size):
+            if c not in placed:
+                orbit = _central_translates(self.group, c._rep_raw, self._center)
+                placed.update(orbit)
+                orbits.append(orbit)
+        return orbits
 
 
 def _peel(g: GroupHandle, raws: Iterable[bytes]):
@@ -168,6 +181,16 @@ def _classes_meeting(g: GroupHandle,
                      sorted({index_of[raw] for raw in raws}))
     classes, _ = _peel(g, sorted(raws))
     return tuple(sorted(classes, key=lambda c: c._rep_raw))
+
+
+def _central_translates(g: GroupHandle, rep: bytes,
+                        central: Iterable[bytes]) -> tuple[ConjugacyClass, ...]:
+    """The classes meeting rep*C, for a set C of central elements.
+
+    For central c, (rep c)^G = rep^G c: these are rep^G's distinct
+    translates by C, sorted by representative.
+    """
+    return _classes_meeting(g, [g._mul(rep, c) for c in central])
 
 
 def _product_classes(g: DirectProductGroup):
@@ -276,14 +299,12 @@ def _central_commutators(part: ClassPartition,
         g = part.group
         yinv = g._inv(y._rep_raw)
         comm = frozenset(g._mul(yinv, v) for v in y._raw)
-        part._commutators[j] = comm if all(
-            part.classes[part._index_of[c]].size == 1 for c in comm) else None
+        part._commutators[j] = comm if comm <= part._center else None
     return part._commutators[j]
 
 
-def _covering(g: GroupHandle, raws: list[bytes]):
-    """The decomposition into the classes meeting ``raws``, and its size."""
-    classes = _classes_meeting(g, raws)
+def _covering(g: GroupHandle, classes: tuple[ConjugacyClass, ...]):
+    """The decomposition into ``classes``, and the elements they cover."""
     return ClassDecomposition(g, classes), sum(c.size for c in classes)
 
 
@@ -321,12 +342,12 @@ def class_product(x: ConjugacyClass, y: ConjugacyClass) -> ClassDecomposition:
     part = g._partition
     comm = None if part is None else _central_commutators(part, y)
     if comm is None:
-        d, total = _covering(g, [mul(a, v) for v in y._raw])
+        d, total = _covering(g, _classes_meeting(g, [mul(a, v) for v in y._raw]))
     else:
         w = part._index_of[mul(a, y._rep_raw)]
         if (w, comm) not in part._translates:
-            r = part.classes[w]._rep_raw
-            part._translates[w, comm] = _covering(g, [mul(r, c) for c in comm])
+            part._translates[w, comm] = _covering(g, _central_translates(
+                g, part.classes[w]._rep_raw, comm))
         d, total = part._translates[w, comm]
     if total > pairs:
         raise PreconditionViolatedError(
@@ -413,8 +434,10 @@ def eta_one_criterion(g: GroupHandle, a: Element, b: Element,
             f"hypothesis {hypothesis!r} fails: the centralizers of a and "
             "b differ")
     ab = Element(g._mul(a.encoding, b.encoding))
-    # |[x,G]| = |x^G|, so the commutator sets give the class sizes too.
-    ka, kb, kab = (commutator_set(g, x).elements for x in (a, b, ab))
+    # |[x,G]| = |x^G|, so the commutator sets give the class sizes too;
+    # each distinct one is built once.
+    sets = {x: commutator_set(g, x).elements for x in {a, b, ab}}
+    ka, kb, kab = sets[a], sets[b], sets[ab]
     if (hypothesis == HYPOTHESIS_SAME_SIZES
             and not len(ka) == len(kb) == len(kab)):
         raise PreconditionViolatedError(
@@ -432,7 +455,8 @@ def central_translate_classes(x: ConjugacyClass,
 
     Every member of ``n_set`` must commute with all of G; then x*n is
     itself a class ((bn)^G for b the representative) and two translates
-    coincide exactly when the two n differ by a commutator of b.
+    coincide exactly when the two n differ by a commutator of b.  Split
+    by the helper the sweep and ``class_product`` use too.
     """
     g = x.group
     if n_set.parent is not g:
@@ -444,13 +468,7 @@ def central_translate_classes(x: ConjugacyClass,
                 raise NotCentralError(
                     f"subgroup member {n.hex()} does not commute with "
                     f"generator {gen.hex()}")
-    seen: dict[bytes, frozenset[bytes]] = {}
-    for n in sorted(n_set._raw):
-        translate = frozenset(mul(m, n) for m in x._raw)
-        rep = min(translate)
-        if rep not in seen:
-            seen[rep] = translate
-    return tuple(ConjugacyClass(g, seen[rep]) for rep in sorted(seen))
+    return _central_translates(g, x._rep_raw, n_set._raw)
 
 
 def check_product_identity(g: GroupHandle, a: Element, b: Element) -> bool:

@@ -70,7 +70,8 @@ def _add_cap_flag(sp) -> None:
 
 def _add_jobs_flags(sp) -> None:
     sp.add_argument("--jobs", type=int, default=1,
-                    help="parallel worker processes (default 1)")
+                    help="parallel worker processes (default 1), at most "
+                         "one per group or check")
     sp.add_argument("--timings", action="store_true",
                     help="record real elapsed_ms (off by default so reports "
                          "are byte-reproducible)")
@@ -266,18 +267,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        records = _RUNNERS[ns.command](ns)
-    except TheoremViolationError as exc:
-        _write_records(list(exc.records), ns)
-        _report_error(exc)
-        return EXIT_VIOLATION
-    except ClassprodError as exc:
+        try:
+            records = _RUNNERS[ns.command](ns)
+        except TheoremViolationError as exc:
+            _report_error(exc)
+            _write_records(list(exc.records), ns)
+            return EXIT_VIOLATION
+        _write_records(records, ns)
+    except (ClassprodError, OSError) as exc:
         _report_error(exc)
         return EXIT_USAGE
-    except OSError as exc:
-        _report_error(exc)
-        return EXIT_USAGE
-    _write_records(records, ns)
     if any(rec.get("violations") for rec in records):
         return EXIT_VIOLATION
     return EXIT_OK

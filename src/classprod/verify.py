@@ -29,17 +29,16 @@ import json
 import time
 from contextlib import closing
 from dataclasses import dataclass, field, replace
-from itertools import starmap
+from itertools import chain, product, starmap
 from typing import Callable, Iterator
 
 from .classes import (
     ClassDecomposition,
     ConjugacyClass,
-    as_subgroup,
     class_partition,
     class_product,
-    commutator_set,
     conjugacy_class,
+    eta_one_criterion,
 )
 from .constructions import (
     ConstructionSpec,
@@ -118,44 +117,50 @@ class TheoremReport:
         }
 
 
+def _shaped(value, kind: type, what: str, fields: set | None = None):
+    """``value`` if its type is exactly ``kind``, so no bool passes as an
+    int, and an object's field names are exactly ``fields`` when given."""
+    if type(value) is not kind:
+        raise FormatError(f"{what} must be {kind.__name__}, got {value!r}")
+    if fields is not None and set(value) != fields:
+        raise FormatError(f"{what} fields differ: missing "
+                          f"{sorted(fields - set(value))}, unknown "
+                          f"{sorted(set(value) - fields)}")
+    return value
+
+
 def parse_report_record(obj: dict) -> TheoremReport:
     """Parse one emitted report record back into a TheoremReport.
 
     Shipped so every record the tool writes can be round-tripped; raises
     a file-format error on any shape mismatch.
     """
-    if not isinstance(obj, dict):
-        raise FormatError(f"report record must be an object, got "
-                          f"{type(obj).__name__}")
-    required = {"theorem", "group", "p", "pairs_checked", "violations",
-                "spectrum", "elapsed_ms"}
-    missing = sorted(required - set(obj))
-    if missing:
-        raise FormatError(f"report record is missing fields: "
-                          f"{', '.join(missing)}")
-    extra = sorted(set(obj) - required)
-    if extra:
-        raise FormatError(f"report record has unknown fields: "
-                          f"{', '.join(extra)}")
+    _shaped(obj, dict, "report record",
+            {"theorem", "group", "p", "pairs_checked", "violations",
+             "spectrum", "elapsed_ms"})
     if obj["theorem"] not in THEOREM_LABELS + (SPECTRUM_LABEL,):
         raise FormatError(f"unknown theorem label {obj['theorem']!r}")
     violations = []
-    for v in obj["violations"]:
-        if set(v) != {"a", "b", "eta", "expected"}:
-            raise FormatError(f"malformed violation record: {v!r}")
-        violations.append(Violation(v["a"], v["b"], int(v["eta"]),
+    for v in _shaped(obj["violations"], list, "violations"):
+        _shaped(v, dict, "violation", {"a", "b", "eta", "expected"})
+        violations.append(Violation(v["a"], v["b"],
+                                    _shaped(v["eta"], int, "eta"),
                                     v["expected"]))
     spectrum = {}
-    for key, entry in obj["spectrum"].items():
-        if set(entry) != {"count", "witness"} \
-                or set(entry["witness"]) != {"group", "a", "b"}:
-            raise FormatError(f"malformed spectrum entry for eta={key!r}")
+    for key, entry in _shaped(obj["spectrum"], dict, "spectrum").items():
+        if not (type(key) is str and key.isascii() and key.isdecimal()):
+            raise FormatError(f"spectrum key {key!r} is not a decimal eta")
+        _shaped(entry, dict, f"spectrum entry {key}", {"count", "witness"})
+        witness = _shaped(entry["witness"], dict, f"witness {key}",
+                          {"group", "a", "b"})
         spectrum[int(key)] = SpectrumEntry(
-            int(entry["count"]), entry["witness"]["group"],
-            entry["witness"]["a"], entry["witness"]["b"])
-    return TheoremReport(obj["theorem"], obj["group"], obj["p"],
-                         int(obj["pairs_checked"]), violations, spectrum,
-                         int(obj["elapsed_ms"]))
+            _shaped(entry["count"], int, "count"), witness["group"],
+            witness["a"], witness["b"])
+    p = obj["p"] if obj["p"] is None else _shaped(obj["p"], int, "p")
+    return TheoremReport(obj["theorem"], obj["group"], p,
+                         _shaped(obj["pairs_checked"], int, "pairs_checked"),
+                         violations, spectrum,
+                         _shaped(obj["elapsed_ms"], int, "elapsed_ms"))
 
 
 def _ms(t0: float) -> int:
@@ -181,13 +186,14 @@ def _map_jobs(worker: Callable[..., TheoremReport], args_list: list[tuple],
              jobs: int) -> Iterator[TheoremReport]:
     """Yield ``worker(*args)`` for each argument tuple, in list order.
 
-    With ``jobs`` > 1 the calls run in a pool of that many processes, so
-    ``worker`` and its arguments must pickle.  Lazy on both paths, so a
-    consumer that stops early stops the work: the serial path runs no
-    further call, and the pool cancels every task not yet started once
-    the generator is closed.
+    With ``jobs`` > 1 the calls run in a pool of that many processes, or
+    one per call if fewer, so ``worker`` and its arguments must pickle.
+    Lazy on both paths, so a consumer that stops early stops the work:
+    the serial path runs no further call, and the pool cancels every
+    task not yet started once the generator is closed.
     """
-    if jobs <= 1 or len(args_list) <= 1:
+    jobs = min(jobs, len(args_list))
+    if jobs <= 1:
         yield from starmap(worker, args_list)
         return
     # Imported here, not at module level, so that a process which imports
@@ -226,34 +232,22 @@ def _sweep(theorem: str, p: int | None, desc: dict, g: GroupHandle,
     of each orbit), and counted with its weight in ordered pairs.  So
     ``rule`` must be invariant under central translation of either
     class, and for square sweeps under swapping them.  A block the rule
-    rejects is expanded into one violation per pair it covers.
-    ``class_product`` multiplies one fixed representative of x by y, so
-    a block costs one multiplication if [y,G] is central, else |y|.
+    rejects is expanded into one violation per pair it covers, sorted
+    by representative hex, which is scan order.  The orbits are
+    ``ClassPartition.center_orbits``: central translates are split
+    through the one helper ``class_product`` uses too.  That product
+    multiplies one fixed representative of x by y, so a block costs one
+    multiplication if [y,G] is central, else |y|.
     """
-    part = class_partition(g)
-    sized = part.classes_of_size(size)
-    index_of = part._index_of
-    slot = {index_of[c._rep_raw]: k for k, c in enumerate(sized)}
-    center = [c._rep_raw for c in part.classes if c.size == 1]
-    mul = g._mul
-    # Classes are in ascending order, so each orbit is met at its leader.
-    orbits: list[list[int]] = []
-    placed: set[int] = set()
-    for k, c in enumerate(sized):
-        if k not in placed:
-            orbit = sorted({slot[index_of[mul(c._rep_raw, z)]]
-                            for z in center})
-            placed.update(orbit)
-            orbits.append(orbit)
-
+    orbits = class_partition(g).center_orbits(size)
     counts: dict[int, int] = {}
     witnesses: dict[int, tuple[str, str]] = {}
-    bad: list[tuple[int, int, int, str]] = []
+    bad: list[Violation] = []
     for i, oi in enumerate(orbits):
-        x = sized[oi[0]]
+        x = oi[0]
         for j in range(i, len(orbits)) if square else (i,):
             oj = orbits[j]
-            y = sized[oj[0]]
+            y = oj[0]
             d = class_product(x, y)
             eta = d.eta
             # Blocks are visited in scan order of their least pair, so the
@@ -266,20 +260,17 @@ def _sweep(theorem: str, p: int | None, desc: dict, g: GroupHandle,
             counts[eta] = counts.get(eta, 0) + weight
             expected = rule(x, y, d)
             if expected is not None:
-                if square:
-                    pairs = [(a, b) for a in oi for b in oj]
-                    if i != j:
-                        pairs += [(b, a) for a, b in pairs]
-                else:
-                    pairs = [(a, a) for a in oi]
-                bad.extend((a, b, eta, expected) for a, b in pairs)
-    violations = [Violation(sized[a].representative.hex(),
-                            sized[b].representative.hex(), eta, expected)
-                  for a, b, eta, expected in sorted(bad)]
+                pairs = product(oi, oj) if square else zip(oi, oi)
+                if square and i != j:
+                    pairs = chain(pairs, product(oj, oi))
+                bad.extend(Violation(a.representative.hex(),
+                                     b.representative.hex(), eta, expected)
+                           for a, b in pairs)
     spectrum = {value: SpectrumEntry(counts[value], desc, *witnesses[value])
                 for value in counts}
-    return TheoremReport(theorem, desc, p, sum(counts.values()), violations,
-                         spectrum, _ms(t0))
+    return TheoremReport(theorem, desc, p, sum(counts.values()),
+                         sorted(bad, key=lambda v: (v.a, v.b)), spectrum,
+                         _ms(t0))
 
 
 def spectrum_for_group(g: GroupHandle, p: int,
@@ -315,8 +306,9 @@ def verify_theorem_b(g: GroupHandle, p: int,
     """Check the dichotomy for every size-p class square.
 
     Clause i: eta = 1, and then [a,G] = [a^2,G] must hold with that set
-    a normal subgroup.  Clause ii: eta = (p+1)/2 with every class in the
-    decomposition of size exactly p.  Anything else is a violation.
+    a normal subgroup, which is ``eta_one_criterion(g, a, a)``.  Clause
+    ii: eta = (p+1)/2 with every class in the decomposition of size
+    exactly p.  Anything else is a violation.
     """
     t0 = time.perf_counter()
     _require_odd_prime(p, "the class-square check")
@@ -325,11 +317,9 @@ def verify_theorem_b(g: GroupHandle, p: int,
 
     def rule(x, _y, d):
         if d.eta == 1:
-            a = x.representative
-            ka = commutator_set(g, a).elements
-            ka2 = commutator_set(g, g.power(a, 2)).elements
-            view = as_subgroup(g, ka) if ka == ka2 else None
-            if view is None or not view.is_normal:
+            # The criterion's size hypothesis |a^G| = |(a^2)^G| always
+            # holds here: a has odd order, so it is a power of a^2.
+            if not eta_one_criterion(g, x.representative, x.representative):
                 return "eta=1 forces [a,G]=[a^2,G], a normal subgroup"
         elif not (d.eta == bound and all(c.size == p for c in d.classes)):
             return f"eta=1, or eta={bound} with all classes of size {p}"
@@ -404,9 +394,7 @@ def run_reproduction_check(check: str, p: int,
     elif check == "shifted-pair":
         b = distinguished_element(spec, "b-double", order_cap)
         d = class_product(xa, conjugacy_class(g, b))
-        if d.eta != p - 1:
-            violations.append(Violation(a.hex(), b.hex(), d.eta,
-                                        f"eta={p - 1}"))
+        expect(d.eta == p - 1, b, d.eta, f"eta={p - 1}")
     else:  # affine-square
         d = class_product(xa, xa)
         expect(xa.size == p, a, d.eta, f"|a^G|={p}")
@@ -477,14 +465,9 @@ def merge_spectrum_reports(p: int, max_order: int,
         scanned += report.pairs_checked
         elapsed += report.elapsed_ms
         for value in sorted(report.spectrum):
-            entry = report.spectrum[value]
-            if value in merged:
-                old = merged[value]
-                merged[value] = SpectrumEntry(
-                    old.count + entry.count, old.witness_group,
-                    old.witness_a, old.witness_b)
-            else:
-                merged[value] = entry
+            entry, old = report.spectrum[value], merged.get(value)
+            merged[value] = (entry if old is None
+                             else replace(old, count=old.count + entry.count))
     return TheoremReport(
         SPECTRUM_LABEL, {"kind": "corpus", "p": p, "max_order": max_order},
         p, scanned, [], merged, elapsed)

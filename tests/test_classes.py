@@ -564,6 +564,42 @@ def test_central_translates_trivial_intersection():
         assert t.size == cls.size
 
 
+ES31_C3 = ConstructionSpec(kind="direct-product", factors=(
+    ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=1),
+    ConstructionSpec(kind="cyclic", n=3)))
+
+
+def test_central_translates_are_the_partitions_own_classes():
+    # with a cached partition the translates are looked up, not rebuilt;
+    # a fresh handle peels them orbit by orbit to the same members
+    g = build(ES31_C3)
+    part = class_partition(g)
+    fresh = build(ES31_C3)
+    z, fresh_z = center(g), center(fresh)
+    for cls in part:
+        translates = central_translate_classes(cls, z)
+        assert all(t is part.class_of(t.representative) for t in translates)
+        again = central_translate_classes(
+            conjugacy_class(fresh, cls.representative), fresh_z)
+        assert [t.members for t in again] == [t.members for t in translates]
+    assert fresh._partition is None
+
+
+def test_center_orbits_are_the_central_translates_of_their_leaders():
+    g = build(ES31_C3)
+    part = class_partition(g)
+    z = center(g)
+    orbits = part.center_orbits(3)
+    assert sorted((c for orbit in orbits for c in orbit),
+                  key=lambda c: c.representative) == list(
+                      part.classes_of_size(3))
+    assert [orbit[0] for orbit in orbits] == sorted(
+        (orbit[0] for orbit in orbits), key=lambda c: c.representative)
+    for orbit in orbits:
+        assert orbit == central_translate_classes(orbit[0], z)
+        assert orbit[0] == min(orbit, key=lambda c: c.representative)
+
+
 def test_central_translates_require_central_set(dihedral8):
     from classprod import NotCentralError
     rot = dihedral8.generators[0]

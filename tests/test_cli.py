@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 import classprod
+import classprod.verify as verify_mod
 from classprod import ConstructionSpec, build, center, corpus
 from classprod.cli import main
 
@@ -241,6 +243,39 @@ def test_even_p_reproduce_is_input_error(capsys):
         out = capsys.readouterr()
         assert code == 1
         assert "even-p" in out.err
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--p", "3", "--max-order", "27"],
+    ["reproduce", "--p", "3"],  # its records carry a violation
+], ids=["spectrum", "reproduce-violation"])
+def test_unwritable_out_is_input_error(args, tmp_path, capsys):
+    out = tmp_path / "missing" / "records.jsonl"
+    code = main(args + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert set(error) == {"error", "message"}
+    assert str(out) in error["message"]
+    assert not out.parent.exists()
+
+
+def test_unwritable_out_after_a_gap_violation_is_input_error(
+        tmp_path, capsys, monkeypatch):
+    # eta = 2 on every pair is inside the p = 5 gap, so the spectrum stops
+    # at the first group with size-5 classes and writes what it has
+    monkeypatch.setattr(verify_mod, "class_product",
+                        lambda x, y: SimpleNamespace(eta=2))
+    out = tmp_path / "missing" / "records.jsonl"
+    code = main(["spectrum", "--p", "5", "--max-order", "625", "--jobs", "1",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    gap, io_error = map(json.loads, captured.err.splitlines())
+    assert gap["error"] == "theorem-violation"
+    assert str(out) in io_error["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Verifiers, reproduction checks, reports, and the eta spectrum."""
 
+import concurrent.futures
 import itertools
 import json
 from collections import Counter
@@ -88,6 +89,51 @@ def test_parse_rejects_unknown_label():
         "theorem": "Z", "group": {}, "p": 3, "pairs_checked": 0,
         "violations": [], "spectrum": {}, "elapsed_ms": 0,
     }
+    with pytest.raises(FormatError):
+        parse_report_record(record)
+
+
+def _well_formed_record():
+    return {
+        "theorem": "spectrum", "group": {}, "p": 3, "pairs_checked": 2,
+        "violations": [{"a": "00", "b": "01", "eta": 2, "expected": "x"}],
+        "spectrum": {"1": {"count": 2, "witness": {"group": {}, "a": "00",
+                                                   "b": "00"}}},
+        "elapsed_ms": 0,
+    }
+
+
+def test_parse_accepts_the_well_formed_record():
+    record = _well_formed_record()
+    assert parse_report_record(record).to_record() == record
+
+
+MALFORMED = {
+    "pairs-checked-text": lambda r: r.update(pairs_checked="abc"),
+    "pairs-checked-bool": lambda r: r.update(pairs_checked=True),
+    "elapsed-ms-float": lambda r: r.update(elapsed_ms=0.0),
+    "p-text": lambda r: r.update(p="3"),
+    "violations-int": lambda r: r.update(violations=5),
+    "violation-list": lambda r: r.update(
+        violations=[["a", "b", "eta", "expected"]]),
+    "violation-eta-float": lambda r: r["violations"][0].update(eta=2.7),
+    "spectrum-list": lambda r: r.update(spectrum=[1]),
+    "spectrum-key-text": lambda r: r.update(
+        spectrum={"x": r["spectrum"]["1"]}),
+    "spectrum-entry-list": lambda r: r.update(
+        spectrum={"1": ["count", "witness"]}),
+    "spectrum-witness-list": lambda r: r["spectrum"]["1"].update(
+        witness=["group", "a", "b"]),
+    "spectrum-count-bool": lambda r: r["spectrum"]["1"].update(count=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_parse_rejects_every_malformed_shape_as_format_error(name):
+    # each of these once leaked a ValueError, TypeError or AttributeError,
+    # or truncated a number, instead of raising a file-format error
+    record = _well_formed_record()
+    MALFORMED[name](record)
     with pytest.raises(FormatError):
         parse_report_record(record)
 
@@ -436,6 +482,42 @@ def test_violations_expand_in_scan_order(monkeypatch):
     assert fast.violations == oracle.violations
     assert len(fast.violations) == fast.spectrum[2].count > 120
     assert any(v.a > v.b for v in fast.violations)
+
+
+def test_pool_never_outnumbers_its_tasks(monkeypatch):
+    # ProcessPoolExecutor forks all of max_workers at the first submit, so
+    # the pool is sized to the task count; an inline stand-in records the
+    # size asked for without starting any process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InlinePool)
+    tasks = [(k,) for k in range(3)]
+    assert list(verify_mod._map_jobs(str, tasks, 500)) == ["0", "1", "2"]
+    assert list(verify_mod._map_jobs(str, tasks, 2)) == ["0", "1", "2"]
+    assert list(verify_mod._map_jobs(str, tasks[:1], 500)) == ["0"]
+    assert sizes == [3, 2]
+    serial = [r.to_record() for r in reproduce_examples(5)]
+    assert [r.to_record() for r in reproduce_examples(5, jobs=500)] == serial
+    assert sizes == [3, 2, len(REPRODUCTION_CHECKS)]
 
 
 def test_spectrum_stops_at_the_first_gap_violation(monkeypatch, capsys):
