@@ -26,7 +26,7 @@ import json
 import sys
 
 from .classes import class_partition, class_product, conjugacy_class
-from .errors import ClassprodError, TheoremViolationError
+from .errors import IO_ERROR, ClassprodError, TheoremViolationError
 from .formats import load_group
 from .groups import DEFAULT_ORDER_CAP
 from .verify import (
@@ -70,8 +70,9 @@ def _add_cap_flag(sp) -> None:
 
 def _add_jobs_flags(sp) -> None:
     sp.add_argument("--jobs", type=int, default=1,
-                    help="parallel worker processes (default 1), at most "
-                         "one per group or check")
+                    help="worker processes forked to run the groups or "
+                         "checks (default 1), at most one per group or "
+                         "check; more than 1 needs os.fork")
     sp.add_argument("--timings", action="store_true",
                     help="record real elapsed_ms (off by default so reports "
                          "are byte-reproducible)")
@@ -255,8 +256,8 @@ def _write_records(records: list[dict], ns: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _report_error(exc: Exception) -> None:
-    code = getattr(exc, "code", "error")
+def _report_error(exc: ClassprodError | OSError) -> None:
+    code = exc.code if isinstance(exc, ClassprodError) else IO_ERROR
     print(json.dumps({"error": code, "message": str(exc)}, sort_keys=True),
           file=sys.stderr)
 

@@ -2,7 +2,11 @@
 
 The CLI surfaces every failure as a ``{"error": <code>, "message": ...}``
 record on stderr; the ``code`` attribute below is that stable identifier.
+An ``OSError`` that reaches the CLI, such as an unwritable ``--out``,
+reports ``IO_ERROR``.
 """
+
+IO_ERROR = "io-error"
 
 
 class ClassprodError(Exception):

@@ -25,12 +25,14 @@ Labels used in reports:
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import time
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from itertools import chain, product, starmap
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NoReturn
 
 from .classes import (
     ClassDecomposition,
@@ -47,6 +49,7 @@ from .constructions import (
     distinguished_element,
 )
 from .errors import (
+    ClassprodError,
     FormatError,
     InvalidParameterError,
     NotAPGroupError,
@@ -143,9 +146,10 @@ def parse_report_record(obj: dict) -> TheoremReport:
     violations = []
     for v in _shaped(obj["violations"], list, "violations"):
         _shaped(v, dict, "violation", {"a", "b", "eta", "expected"})
-        violations.append(Violation(v["a"], v["b"],
+        violations.append(Violation(_shaped(v["a"], str, "a"),
+                                    _shaped(v["b"], str, "b"),
                                     _shaped(v["eta"], int, "eta"),
-                                    v["expected"]))
+                                    _shaped(v["expected"], str, "expected")))
     spectrum = {}
     for key, entry in _shaped(obj["spectrum"], dict, "spectrum").items():
         if not (type(key) is str and key.isascii() and key.isdecimal()):
@@ -154,13 +158,14 @@ def parse_report_record(obj: dict) -> TheoremReport:
         witness = _shaped(entry["witness"], dict, f"witness {key}",
                           {"group", "a", "b"})
         spectrum[int(key)] = SpectrumEntry(
-            _shaped(entry["count"], int, "count"), witness["group"],
-            witness["a"], witness["b"])
+            _shaped(entry["count"], int, "count"),
+            _shaped(witness["group"], dict, "witness group"),
+            _shaped(witness["a"], str, "a"), _shaped(witness["b"], str, "b"))
     p = obj["p"] if obj["p"] is None else _shaped(obj["p"], int, "p")
-    return TheoremReport(obj["theorem"], obj["group"], p,
-                         _shaped(obj["pairs_checked"], int, "pairs_checked"),
-                         violations, spectrum,
-                         _shaped(obj["elapsed_ms"], int, "elapsed_ms"))
+    return TheoremReport(
+        obj["theorem"], _shaped(obj["group"], dict, "group"), p,
+        _shaped(obj["pairs_checked"], int, "pairs_checked"), violations,
+        spectrum, _shaped(obj["elapsed_ms"], int, "elapsed_ms"))
 
 
 def _ms(t0: float) -> int:
@@ -186,27 +191,117 @@ def _map_jobs(worker: Callable[..., TheoremReport], args_list: list[tuple],
              jobs: int) -> Iterator[TheoremReport]:
     """Yield ``worker(*args)`` for each argument tuple, in list order.
 
-    With ``jobs`` > 1 the calls run in a pool of that many processes, or
-    one per call if fewer, so ``worker`` and its arguments must pickle.
+    With ``jobs`` > 1 the calls run in ``min(jobs, len(args_list))``
+    worker processes forked from this one, which must have no other
+    thread.  A worker inherits ``worker`` and the arguments, so only each
+    result or exception must pickle.  Workers pull task indices from one
+    shared pipe and send each outcome back on a pipe of their own; the
+    results are yielded in list order, and a worker's exception is raised
+    in its result's place with its type and message.  A worker that ends
+    before reporting every task it took raises ``ClassprodError``.
     Lazy on both paths, so a consumer that stops early stops the work:
-    the serial path runs no further call, and the pool cancels every
-    task not yet started once the generator is closed.
+    the serial path runs no further call, and leaving the generator in
+    any way kills and reaps every worker still alive.  ``jobs`` > 1
+    raises ``InvalidParameterError`` where ``os.fork`` does not exist.
     """
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise InvalidParameterError(
+            "more than one job needs os.fork, which this platform lacks")
     jobs = min(jobs, len(args_list))
     if jobs <= 1:
         yield from starmap(worker, args_list)
         return
-    # Imported here, not at module level, so that a process which imports
-    # the package but starts no pool never loads concurrent.futures and
-    # its resident memory.
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(worker, *args) for args in args_list]
+    # Imported here, not at module level, so that a serial run does not
+    # pay for them; forked workers inherit them.
+    import pickle
+    import select
+    import signal
+    todo = memoryview(b"".join(i.to_bytes(4, "little")
+                               for i in range(len(args_list))))
+    task_r, task_w = os.pipe()
+    frames: dict[int, bytearray] = {}  # result pipe read end -> unread bytes
+    pids: dict[int, int] = {}  # result pipe read end -> its unreaped worker
+    done: dict[int, tuple[bool, object]] = {}
+    taken = 0
+    try:
+        # Frozen objects are skipped by the collector, so a worker's
+        # collections do not write to the pages it shares with this process.
+        gc.freeze()
         try:
-            for future in futures:
-                yield future.result()
+            for _ in range(jobs):
+                r, w = os.pipe()
+                frames[r] = bytearray()
+                try:
+                    pids[r] = os.fork()
+                    if pids[r] == 0:
+                        _work(worker, args_list, task_r, task_w, w)
+                finally:
+                    os.close(w)
         finally:
-            pool.shutdown(cancel_futures=True)
+            gc.unfreeze()
+        while taken < len(args_list):
+            if taken in done:
+                ok, value = done.pop(taken)
+                taken += 1
+                if not ok:
+                    raise value
+                yield value
+                continue
+            readable, writable, _ = select.select(
+                list(frames), [task_w] if todo else [], [])
+            if writable:
+                # At most PIPE_BUF bytes, which a writable pipe takes whole.
+                todo = todo[os.write(task_w, todo[:select.PIPE_BUF]):]
+                if not todo:
+                    os.close(task_w)
+            for r in readable:
+                chunk = os.read(r, 1 << 16)
+                buf = frames[r]
+                buf += chunk
+                while len(buf) >= 4 + (size := int.from_bytes(buf[:4],
+                                                              "little")):
+                    index, ok, value = pickle.loads(buf[4:4 + size])
+                    del buf[:4 + size]
+                    done[index] = ok, value
+                if chunk:
+                    continue
+                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(r), 0)[1])
+                os.close(r)
+                del frames[r]
+                if code or (not frames
+                            and taken + len(done) < len(args_list)):
+                    raise ClassprodError(
+                        f"a worker process ended with exit code {code} "
+                        f"before reporting every task it took")
+    finally:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in (task_r, *frames, *([task_w] if todo else [])):
+            os.close(fd)
+
+
+def _work(worker: Callable[..., TheoremReport], args_list: list[tuple],
+          task_r: int, task_w: int, out: int) -> NoReturn:
+    """A forked worker of ``_map_jobs``: report each task it pulls, then
+    exit without returning into the caller's code."""
+    code = 1
+    try:
+        import pickle  # already loaded by the parent
+        os.close(task_w)
+        while index := os.read(task_r, 4):
+            i = int.from_bytes(index, "little")
+            try:
+                outcome = (i, True, worker(*args_list[i]))
+            except Exception as exc:  # re-raised by the parent
+                outcome = (i, False, exc)
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            frame = memoryview(len(data).to_bytes(4, "little") + data)
+            while frame:
+                frame = frame[os.write(out, frame):]
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _sweep(theorem: str, p: int | None, desc: dict, g: GroupHandle,
@@ -478,8 +573,8 @@ def eta_spectrum(p: int, max_order: int, order_cap: int = DEFAULT_ORDER_CAP,
     """Per-group spectrum reports in corpus order, plus the merged tally.
 
     If a group contradicts the gap (eta strictly between 1 and (p+1)/2),
-    the scan stops at that group, cancels the groups not yet started, and
-    raises with the records so far attached to the error.  ``jobs`` > 1
+    the scan stops at that group, kills the workers still sweeping later
+    groups, and raises with the records so far attached to the error.  ``jobs`` > 1
     sweeps the groups in that many worker processes; the reports do not
     depend on it.
     """

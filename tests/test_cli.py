@@ -237,6 +237,20 @@ def test_missing_group_file_is_input_error(capsys, tmp_path):
     assert code == 1
 
 
+def test_worker_cap_error_matches_the_serial_run(capsys):
+    # the order-729 groups are built, and refused, inside the workers
+    args = ["spectrum", "--p", "3", "--max-order", "729", "--cap", "500"]
+    runs = []
+    for jobs in ("1", "2"):
+        code = main(args + ["--jobs", jobs])
+        out = capsys.readouterr()
+        runs.append((code, out.out, out.err))
+    assert runs[0] == runs[1]
+    code, stdout, stderr = runs[0]
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr)["error"] == "enumeration-too-large"
+
+
 def test_even_p_reproduce_is_input_error(capsys):
     for jobs in ("1", "2"):
         code = main(["reproduce", "--p", "2", "--jobs", jobs])
@@ -256,7 +270,7 @@ def test_unwritable_out_is_input_error(args, tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     error = json.loads(captured.err)
-    assert set(error) == {"error", "message"}
+    assert error == {"error": "io-error", "message": error["message"]}
     assert str(out) in error["message"]
     assert not out.parent.exists()
 
@@ -275,6 +289,7 @@ def test_unwritable_out_after_a_gap_violation_is_input_error(
     assert captured.out == ""
     gap, io_error = map(json.loads, captured.err.splitlines())
     assert gap["error"] == "theorem-violation"
+    assert io_error["error"] == "io-error"
     assert str(out) in io_error["message"]
 
 

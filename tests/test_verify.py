@@ -1,8 +1,10 @@
 """Verifiers, reproduction checks, reports, and the eta spectrum."""
 
-import concurrent.futures
 import itertools
 import json
+import os
+import signal
+import time
 from collections import Counter
 from types import SimpleNamespace
 
@@ -10,6 +12,7 @@ import pytest
 
 import classprod.verify as verify_mod
 from classprod import (
+    ClassprodError,
     ConstructionSpec,
     EvenPrimeError,
     FormatError,
@@ -125,6 +128,14 @@ MALFORMED = {
     "spectrum-witness-list": lambda r: r["spectrum"]["1"].update(
         witness=["group", "a", "b"]),
     "spectrum-count-bool": lambda r: r["spectrum"]["1"].update(count=True),
+    "group-list": lambda r: r.update(group=[1]),
+    "violation-a-int": lambda r: r["violations"][0].update(a=5),
+    "violation-b-null": lambda r: r["violations"][0].update(b=None),
+    "violation-expected-int": lambda r: r["violations"][0].update(expected=7),
+    "witness-group-text": lambda r: r["spectrum"]["1"]["witness"].update(
+        group="corpus"),
+    "witness-a-int": lambda r: r["spectrum"]["1"]["witness"].update(a=0),
+    "witness-b-list": lambda r: r["spectrum"]["1"]["witness"].update(b=["00"]),
 }
 
 
@@ -257,12 +268,10 @@ def test_reproduce_p7_all_clean():
 
 
 def test_reproduce_rejects_even_p(monkeypatch):
-    import concurrent.futures
+    def no_fork():
+        raise AssertionError("a worker process was forked")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(verify_mod.os, "fork", no_fork)
     for jobs in (1, 2):
         with pytest.raises(EvenPrimeError):
             reproduce_examples(2, jobs=jobs)
@@ -485,39 +494,116 @@ def test_violations_expand_in_scan_order(monkeypatch):
 
 
 def test_pool_never_outnumbers_its_tasks(monkeypatch):
-    # ProcessPoolExecutor forks all of max_workers at the first submit, so
-    # the pool is sized to the task count; an inline stand-in records the
-    # size asked for without starting any process
+    # The map forks one worker per job up front, so it is sized to the
+    # task count.  The fork is counted, and refused past the 9 workers
+    # the calls below need, so a map that forks one per job fails here
+    # without starting them.
+    real_fork = os.fork
+    forks = []
+
+    def counted_fork():
+        if len(forks) == 9:
+            raise AssertionError("more workers forked than tasks")
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(verify_mod.os, "fork", counted_fork)
     sizes = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def mapped(call):
+        before = len(forks)
+        result = call()
+        if len(forks) > before:
+            sizes.append(len(forks) - before)
+        return result
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        InlinePool)
     tasks = [(k,) for k in range(3)]
-    assert list(verify_mod._map_jobs(str, tasks, 500)) == ["0", "1", "2"]
-    assert list(verify_mod._map_jobs(str, tasks, 2)) == ["0", "1", "2"]
-    assert list(verify_mod._map_jobs(str, tasks[:1], 500)) == ["0"]
+    assert mapped(lambda: list(verify_mod._map_jobs(str, tasks, 500))) == [
+        "0", "1", "2"]
+    assert mapped(lambda: list(verify_mod._map_jobs(str, tasks, 2))) == [
+        "0", "1", "2"]
+    assert mapped(lambda: list(verify_mod._map_jobs(str, tasks[:1], 500))) == [
+        "0"]
     assert sizes == [3, 2]
     serial = [r.to_record() for r in reproduce_examples(5)]
-    assert [r.to_record() for r in reproduce_examples(5, jobs=500)] == serial
+    assert [r.to_record()
+            for r in mapped(lambda: reproduce_examples(5, jobs=500))] == serial
     assert sizes == [3, 2, len(REPRODUCTION_CHECKS)]
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that waits more than 30 s instead of letting it hang."""
+    def expire(signum, frame):
+        raise TimeoutError("the job map did not finish within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _finish_time(k):
+    # task 0 finishes last, well after every other task
+    time.sleep(0.5 if k == 0 else 0)
+    return k, time.monotonic()
+
+
+def test_job_map_yields_in_list_order(deadline):
+    results = list(verify_mod._map_jobs(_finish_time,
+                                        [(k,) for k in range(4)], 2))
+    assert [k for k, _ in results] == [0, 1, 2, 3]
+    assert max(t for _, t in results[1:]) < results[0][1]
+    _no_child_left()
+
+
+def test_job_map_reraises_a_worker_exception(deadline):
+    with pytest.raises(ValueError) as raised:
+        list(verify_mod._map_jobs(int, [("1",), ("x",), ("3",)], 2))
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "invalid literal for int() with base 10: 'x'"
+    _no_child_left()
+
+
+def _dies_on_one(k):
+    if k == 1:
+        os._exit(3)
+    return k
+
+
+def test_job_map_raises_when_a_worker_dies(deadline):
+    with pytest.raises(ClassprodError, match="exit code 3"):
+        list(verify_mod._map_jobs(_dies_on_one, [(k,) for k in range(3)], 2))
+    _no_child_left()
+
+
+def _slow_after_first(k):
+    if k:
+        time.sleep(20)
+    return k
+
+
+def test_closing_the_job_map_early_reaps_every_worker(deadline):
+    jobs = verify_mod._map_jobs(_slow_after_first, [(k,) for k in range(3)],
+                                3)
+    t0 = time.monotonic()
+    assert next(jobs) == 0
+    jobs.close()
+    assert time.monotonic() - t0 < 10
+    _no_child_left()
+
+
+def test_job_map_needs_fork_for_more_than_one_job(monkeypatch):
+    monkeypatch.delattr(verify_mod.os, "fork")
+    with pytest.raises(InvalidParameterError, match="os.fork"):
+        list(verify_mod._map_jobs(str, [(1,), (2,)], 2))
+    assert list(verify_mod._map_jobs(str, [(1,), (2,)], 1)) == ["1", "2"]
 
 
 def test_spectrum_stops_at_the_first_gap_violation(monkeypatch, capsys):
