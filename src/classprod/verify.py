@@ -152,7 +152,7 @@ def parse_report_record(obj: dict) -> TheoremReport:
                                     _shaped(v["expected"], str, "expected")))
     spectrum = {}
     for key, entry in _shaped(obj["spectrum"], dict, "spectrum").items():
-        if not (type(key) is str and key.isascii() and key.isdecimal()):
+        if not (type(key) is str and key.isdecimal() and str(int(key)) == key):
             raise FormatError(f"spectrum key {key!r} is not a decimal eta")
         _shaped(entry, dict, f"spectrum entry {key}", {"count", "witness"})
         witness = _shaped(entry["witness"], dict, f"witness {key}",
@@ -192,17 +192,15 @@ def _map_jobs(worker: Callable[..., TheoremReport], args_list: list[tuple],
     """Yield ``worker(*args)`` for each argument tuple, in list order.
 
     With ``jobs`` > 1 the calls run in ``min(jobs, len(args_list))``
-    worker processes forked from this one, which must have no other
-    thread.  A worker inherits ``worker`` and the arguments, so only each
-    result or exception must pickle.  Workers pull task indices from one
-    shared pipe and send each outcome back on a pipe of their own; the
-    results are yielded in list order, and a worker's exception is raised
-    in its result's place with its type and message.  A worker that ends
-    before reporting every task it took raises ``ClassprodError``.
-    Lazy on both paths, so a consumer that stops early stops the work:
-    the serial path runs no further call, and leaving the generator in
-    any way kills and reaps every worker still alive.  ``jobs`` > 1
-    raises ``InvalidParameterError`` where ``os.fork`` does not exist.
+    processes forked from this one, which must have no other thread; without
+    ``os.fork`` that raises ``InvalidParameterError``.  A worker inherits
+    ``worker`` and the arguments and has one task in flight: it is sent a
+    task index on a pipe of its own and pickles the outcome back on another
+    before it is sent the next, so no task write blocks.  A worker's
+    exception is raised in its result's place with its type and message; a
+    worker that dies raises ``ClassprodError``.  Leaving the generator in
+    any way stops the work: the serial path runs no further call, and every
+    worker is killed and reaped.
     """
     if jobs > 1 and not hasattr(os, "fork"):
         raise InvalidParameterError(
@@ -216,89 +214,74 @@ def _map_jobs(worker: Callable[..., TheoremReport], args_list: list[tuple],
     import pickle
     import select
     import signal
-    todo = memoryview(b"".join(i.to_bytes(4, "little")
-                               for i in range(len(args_list))))
-    task_r, task_w = os.pipe()
-    frames: dict[int, bytearray] = {}  # result pipe read end -> unread bytes
-    pids: dict[int, int] = {}  # result pipe read end -> its unreaped worker
+    feeds: dict = {}  # result stream -> write end of its worker's task pipe
+    pids: dict = {}  # result stream -> its unreaped worker
     done: dict[int, tuple[bool, object]] = {}
-    taken = 0
     try:
-        # Frozen objects are skipped by the collector, so a worker's
-        # collections do not write to the pages it shares with this process.
+        # Collections skip frozen objects, so workers keep their pages shared.
         gc.freeze()
         try:
-            for _ in range(jobs):
+            for task in range(jobs):
                 r, w = os.pipe()
-                frames[r] = bytearray()
+                stream = os.fdopen(r, "rb")
+                tasks, feeds[stream] = os.pipe()
+                os.write(feeds[stream], task.to_bytes(4, "little"))
                 try:
-                    pids[r] = os.fork()
-                    if pids[r] == 0:
-                        _work(worker, args_list, task_r, task_w, w)
+                    pids[stream] = os.fork()
+                    if pids[stream] == 0:
+                        _work(worker, args_list, tasks, w, feeds)
                 finally:
+                    os.close(tasks)
                     os.close(w)
         finally:
             gc.unfreeze()
-        while taken < len(args_list):
-            if taken in done:
-                ok, value = done.pop(taken)
-                taken += 1
-                if not ok:
-                    raise value
-                yield value
-                continue
-            readable, writable, _ = select.select(
-                list(frames), [task_w] if todo else [], [])
-            if writable:
-                # At most PIPE_BUF bytes, which a writable pipe takes whole.
-                todo = todo[os.write(task_w, todo[:select.PIPE_BUF]):]
-                if not todo:
-                    os.close(task_w)
-            for r in readable:
-                chunk = os.read(r, 1 << 16)
-                buf = frames[r]
-                buf += chunk
-                while len(buf) >= 4 + (size := int.from_bytes(buf[:4],
-                                                              "little")):
-                    index, ok, value = pickle.loads(buf[4:4 + size])
-                    del buf[:4 + size]
+        for i in range(len(args_list)):
+            while i not in done:
+                for stream in select.select(list(pids), [], [])[0]:
+                    try:
+                        index, ok, value = pickle.load(stream)
+                    except (EOFError, pickle.UnpicklingError):
+                        _, status = os.waitpid(pids.pop(stream), 0)
+                        raise ClassprodError(
+                            "a worker process ended early with exit code "
+                            f"{os.waitstatus_to_exitcode(status)}") from None
                     done[index] = ok, value
-                if chunk:
-                    continue
-                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(r), 0)[1])
-                os.close(r)
-                del frames[r]
-                if code or (not frames
-                            and taken + len(done) < len(args_list)):
-                    raise ClassprodError(
-                        f"a worker process ended with exit code {code} "
-                        f"before reporting every task it took")
+                    task += 1  # the next task, for the worker now idle
+                    if task < len(args_list):
+                        os.write(feeds[stream], task.to_bytes(4, "little"))
+            ok, value = done.pop(i)
+            if not ok:
+                raise value
+            yield value
     finally:
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for fd in (task_r, *frames, *([task_w] if todo else [])):
-            os.close(fd)
+        for stream, feed in feeds.items():
+            stream.close()
+            os.close(feed)
 
 
 def _work(worker: Callable[..., TheoremReport], args_list: list[tuple],
-          task_r: int, task_w: int, out: int) -> NoReturn:
-    """A forked worker of ``_map_jobs``: report each task it pulls, then
-    exit without returning into the caller's code."""
+          tasks: int, out: int, feeds: dict) -> NoReturn:
+    """A forked worker of ``_map_jobs``: report each task it is sent until
+    the parent closes the task pipe or exits, then exit without returning
+    into the caller's code."""
     code = 1
     try:
         import pickle  # already loaded by the parent
-        os.close(task_w)
-        while index := os.read(task_r, 4):
+        for stream, feed in feeds.items():  # the parent's ends of the pipes
+            stream.close()
+            os.close(feed)
+        results = os.fdopen(out, "wb")
+        while index := os.read(tasks, 4):
             i = int.from_bytes(index, "little")
             try:
-                outcome = (i, True, worker(*args_list[i]))
+                outcome = i, True, worker(*args_list[i])
             except Exception as exc:  # re-raised by the parent
-                outcome = (i, False, exc)
-            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-            frame = memoryview(len(data).to_bytes(4, "little") + data)
-            while frame:
-                frame = frame[os.write(out, frame):]
+                outcome = i, False, exc
+            pickle.dump(outcome, results, pickle.HIGHEST_PROTOCOL)
+            results.flush()
         code = 0
     finally:
         os._exit(code)
@@ -574,9 +557,9 @@ def eta_spectrum(p: int, max_order: int, order_cap: int = DEFAULT_ORDER_CAP,
 
     If a group contradicts the gap (eta strictly between 1 and (p+1)/2),
     the scan stops at that group, kills the workers still sweeping later
-    groups, and raises with the records so far attached to the error.  ``jobs`` > 1
-    sweeps the groups in that many worker processes; the reports do not
-    depend on it.
+    groups, and raises with the records so far attached to the error.
+    ``jobs`` > 1 sweeps the groups in that many worker processes; the
+    reports do not depend on it.
     """
     _require_odd_prime(p, "the spectrum sweep")
     args = [(spec, p, order_cap) for spec in corpus(p, max_order)]

@@ -4,6 +4,8 @@ import itertools
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 from collections import Counter
 from types import SimpleNamespace
@@ -123,6 +125,9 @@ MALFORMED = {
     "spectrum-list": lambda r: r.update(spectrum=[1]),
     "spectrum-key-text": lambda r: r.update(
         spectrum={"x": r["spectrum"]["1"]}),
+    # "01" once parsed as eta 1 and overwrote the count of the "1" entry
+    "spectrum-key-leading-zero": lambda r: r["spectrum"].update(
+        {"01": {**r["spectrum"]["1"], "count": 3}}),
     "spectrum-entry-list": lambda r: r.update(
         spectrum={"1": ["count", "witness"]}),
     "spectrum-witness-list": lambda r: r["spectrum"]["1"].update(
@@ -583,6 +588,32 @@ def test_job_map_raises_when_a_worker_dies(deadline):
     _no_child_left()
 
 
+def _large_after_first(k):
+    if k:
+        time.sleep(0.3)
+    return bytes(300_000) if k else k
+
+
+def test_job_map_raises_when_a_worker_dies_mid_result(monkeypatch, deadline):
+    # Task 1's worker fills its result pipe while the consumer holds task
+    # 0's result, and is killed there, so the parent reads a pickle cut
+    # off mid-frame rather than an empty pipe.
+    real_fork, pids = os.fork, []
+
+    def recorded_fork():
+        pids.append(real_fork())
+        return pids[-1]
+
+    monkeypatch.setattr(verify_mod.os, "fork", recorded_fork)
+    jobs = verify_mod._map_jobs(_large_after_first, [(0,), (1,)], 2)
+    assert next(jobs) == 0
+    time.sleep(1)
+    os.kill(pids[1], signal.SIGKILL)
+    with pytest.raises(ClassprodError, match="exit code -9"):
+        next(jobs)
+    _no_child_left()
+
+
 def _slow_after_first(k):
     if k:
         time.sleep(20)
@@ -597,6 +628,108 @@ def test_closing_the_job_map_early_reaps_every_worker(deadline):
     jobs.close()
     assert time.monotonic() - t0 < 10
     _no_child_left()
+
+
+def _large_result(k):
+    return k, bytes(200_000)
+
+
+def test_job_map_outgrows_a_pipe_buffer_without_deadlock(deadline):
+    # 3,000 four-byte task indices are more than one atomic pipe write
+    # carries, and a 200 KB result is more than a pipe holds, so its worker blocks
+    # mid-write until the parent reads; a map that wrote ahead of the
+    # workers or waited on a write would hang here until the deadline
+    tasks = [(k,) for k in range(3000)]
+    assert list(verify_mod._map_jobs(int, tasks, 2)) == list(range(3000))
+    results = list(verify_mod._map_jobs(_large_result, tasks[:20], 3))
+    assert [k for k, _ in results] == list(range(20))
+    assert all(blob == bytes(200_000) for _, blob in results)
+    _no_child_left()
+
+
+def _package_env():
+    """This environment with the imported package's source on the path."""
+    src = os.path.dirname(os.path.dirname(verify_mod.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+_MAP_SCENARIOS = """
+import gc, os, time
+from classprod import ClassprodError
+from classprod.verify import _map_jobs
+
+def dies_on_one(k):
+    if k == 1:
+        os._exit(3)
+    return k
+
+def slow_after_first(k):
+    if k:
+        time.sleep(20)
+    return k
+
+assert list(_map_jobs(str, [(k,) for k in range(5)], 2)) == list("01234")
+for call, args, error in ((int, ["1", "x", "3"], ValueError),
+                          (dies_on_one, [0, 1, 2], ClassprodError)):
+    try:
+        list(_map_jobs(call, [(a,) for a in args], 2))
+    except error:
+        pass
+    else:
+        raise AssertionError(f"{error.__name__} not raised")
+jobs = _map_jobs(slow_after_first, [(k,) for k in range(3)], 3)
+assert next(jobs) == 0
+jobs.close()
+gc.collect()
+"""
+
+
+def test_job_map_leaves_no_file_unclosed():
+    # A pipe or stream left open warns only while it is collected, as
+    # "Exception ignored ... ResourceWarning" on stderr with exit code 0,
+    # so stderr must be empty: a clean map, a worker exception, a dead
+    # worker and an early close.
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+         _MAP_SCENARIOS], capture_output=True, text=True, timeout=60,
+        env=_package_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+_KILLED_PARENT = """
+import os, time
+from classprod.verify import _map_jobs
+
+def large_after_a_second(k):
+    os.write(1, b"started\\n")
+    time.sleep(1)
+    return bytes(200_000)
+
+for _ in _map_jobs(large_after_a_second, [(k,) for k in range(4)], 2):
+    time.sleep(60)
+"""
+
+
+def test_workers_exit_when_the_parent_is_killed(deadline):
+    # A worker closes its copies of the parent's pipe ends, so once the
+    # parent is gone a result larger than a pipe fails to send instead of
+    # blocking forever.  The workers share the parent's stdout, which
+    # reads EOF only once every one of them has exited.
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_PARENT],
+                            stdout=subprocess.PIPE, start_new_session=True,
+                            env=_package_env())
+    try:
+        assert [proc.stdout.readline() for _ in range(2)] == [b"started\n"] * 2
+        proc.kill()
+        proc.wait()
+        assert proc.stdout.read() == b""
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.stdout.close()
 
 
 def test_job_map_needs_fork_for_more_than_one_job(monkeypatch):
