@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+from operator import itemgetter
 
 from .constructions import ConstructionSpec, build
 from .errors import FormatError, InvalidParameterError
@@ -83,15 +84,50 @@ def load_cayley_table(path: str,
                                order_cap)
 
 
+class _TableText:
+    """The body rows of a table file, each parsed only when it is read.
+
+    ``row_equals(i, row)`` says whether line i is the canonical rendering
+    of ``row`` (decimal entries one space apart), so a matching line is
+    never split; a line that differs is read in full by the validator.
+    """
+
+    def __init__(self, body: list[tuple[int, str]], path: str):
+        self._body = body
+        self._path = path
+        self._names = [str(i) for i in range(len(body))]
+
+    def __len__(self) -> int:
+        return len(self._body)
+
+    def __getitem__(self, i: int) -> list[int]:
+        lineno, line = self._body[i]
+        n = len(self._body)
+        row = _int_tokens(line, self._path, lineno)
+        for v in row:
+            if not 0 <= v < n:
+                raise FormatError(
+                    f"{self._path}:{lineno}: entry {v} outside 0..{n - 1}")
+        if len(row) != n:
+            raise FormatError(
+                f"{self._path}:{lineno}: table row has {len(row)} entries, "
+                f"expected {n}")
+        return row
+
+    def row_equals(self, i: int, row: tuple[int, ...]) -> bool:
+        return " ".join(itemgetter(*row)(self._names)) == self._body[i][1]
+
+
 def _parse_cayley_table(lines: list[tuple[int, str]], path: str,
                         order_cap: int) -> CayleyTableGroup:
     """Build the table group from a file's content lines.
 
-    Each row is parsed in one pass of dictionary lookups keyed by the
-    canonical token text, which also range-checks it and makes every row
-    share the same n integer objects.  A line with any other token
-    (``007``, ``+3``, ``x``, out of range) is parsed again token by token,
-    so it either loads as before or is reported with its line number.
+    The group's one-pass validator reads row 0 and the generator rows in
+    full and derives every other row from them.  A derived row is
+    checked against the line's text: a match is exact, since the text is
+    that row's canonical rendering, and a line that differs (``007``,
+    ``+3``, tabs, a wrong entry) is parsed, so it either loads or is
+    reported with its line number.
     """
     n = _head_value(lines, path, "order")
     body = lines[1:]
@@ -99,24 +135,8 @@ def _parse_cayley_table(lines: list[tuple[int, str]], path: str,
         raise FormatError(
             f"{path}: expected {n} table rows after the order line, found "
             f"{len(body)}")
-    lut = {str(i): i for i in range(n)}
-    rows = []
-    for lineno, line in body:
-        try:
-            row = tuple(map(lut.__getitem__, line.split()))
-        except KeyError:
-            row = tuple(_int_tokens(line, path, lineno))
-            for v in row:
-                if not 0 <= v < n:
-                    raise FormatError(
-                        f"{path}:{lineno}: entry {v} outside 0..{n - 1}")
-        if len(row) != n:
-            raise FormatError(
-                f"{path}:{lineno}: table row has {len(row)} entries, "
-                f"expected {n}")
-        rows.append(row)
     try:
-        return CayleyTableGroup(rows, order_cap=order_cap)
+        return CayleyTableGroup(_TableText(body, path), order_cap=order_cap)
     except InvalidParameterError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -162,10 +182,11 @@ def _parse_spec(text: str, path: str) -> ConstructionSpec:
 
 
 def _sniff_kind(lines: list[tuple[int, str]], path: str) -> str:
-    """The numeric format of a file, from its head line and token counts.
+    """The numeric format of a file, from its head line and first row.
 
-    Only the head line is parsed as an integer; the body is judged by
-    its row and token counts and left to the parser.
+    Only the head line is parsed as an integer.  The body is judged by
+    its row count and the token count of its first row; the chosen
+    parser reports any later malformed row with its line number.
     """
     if not lines:
         raise FormatError(f"{path}: file has no content")
@@ -177,7 +198,7 @@ def _sniff_kind(lines: list[tuple[int, str]], path: str) -> str:
             "single integer (order or degree) or a JSON object")
     n = head[0]
     body = lines[1:]
-    if body and all(len(line.split()) == n for _, line in body):
+    if body and len(body[0][1].split()) == n:
         return "cayley" if len(body) == n else "perm"
     raise FormatError(
         f"{path}: cannot identify the format; rows match neither an order-"

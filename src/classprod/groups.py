@@ -5,8 +5,9 @@ generators, enumeration) on opaque fixed-width byte strings.  Orbit and
 closure code upstream can therefore dedup with plain hash sets and pick
 canonical representatives by byte order, independent of the backend.
 Every breadth-first closure (conjugation orbits, generated subgroups,
-permutation groups, table closures) runs through :func:`_reach`, which
-also holds the one enumeration-cap check for all of them.
+permutation groups) runs through :func:`_reach`, which also holds the
+one enumeration-cap check for all of them.  The Cayley-table walk
+checks every edge it takes, so it has its own (:func:`_walk_table`).
 
 Handles are immutable after construction and safe to share; the only
 mutation is idempotent caching (the sorted element list and the class
@@ -208,17 +209,119 @@ class GroupHandle(ABC):
         return f"<{type(self).__name__} backend={self.backend} order={self.order}>"
 
 
+def _permuter(row: tuple[int, ...]):
+    """The map taking row x to row x permuted by ``row``.
+
+    ``itemgetter`` of one index returns a scalar, not a tuple, so the
+    order-1 row gets its own.
+    """
+    return itemgetter(*row) if len(row) > 1 else lambda r: (r[0],)
+
+
+def _walk_table(n: int, read, same, generators) -> tuple[list, list[int]]:
+    """Validate a Cayley table in one breadth-first walk from 0.
+
+    ``read(i)`` gives the given row i in full and ``same(i, row)`` says
+    whether it equals ``row``; :class:`CayleyTableGroup` says which rows
+    are read and why the walk is exact.  Returns the rows, which share
+    one set of n ints, and the generator indices.
+    """
+    ints = list(range(n))
+    everything = set(ints)
+    rows: list = [None] * n
+    rows[0] = tuple(ints)
+    if tuple(map(int, read(0))) != rows[0]:
+        raise InvalidParameterError(
+            "row 0 must be the identity row (element 0 is the identity)")
+    order = [0]
+    gens: list[int] = []
+    steps = []
+
+    def checked(i: int) -> tuple[int, ...]:
+        row = tuple(map(int, read(i)))
+        if len(row) != n:
+            raise InvalidParameterError(
+                f"row {i} has {len(row)} entries, expected {n}")
+        if set(row) != everything:
+            raise InvalidParameterError(
+                f"row {i} is not a bijection of 0..{n - 1}")
+        if row[0] != i:
+            raise InvalidParameterError(
+                f"column 0 must fix every element, but {i}*0 = {row[0]}")
+        return tuple(map(ints.__getitem__, row))
+
+    def add(g: int) -> None:
+        if rows[g] is None:
+            rows[g] = checked(g)
+            order.append(g)
+        gens.append(g)
+        steps.append((g, _permuter(rows[g])))
+
+    def visit(x: int, g: int, take) -> None:
+        cand = take(rows[x])
+        z = rows[x][g]
+        known = rows[z]
+        if known is None:
+            known = cand if same(z, cand) else checked(z)
+            rows[z] = cand
+            order.append(z)
+        if known is not cand and known != cand:
+            y = next(y for y in ints if known[y] != cand[y])
+            raise InvalidParameterError(
+                f"table is not associative at ({x},{g},{y})")
+
+    if generators is not None:
+        for g in map(int, generators):
+            if not 0 <= g < n:
+                raise InvalidParameterError(f"generator index {g} out of range")
+            add(g)
+    done = 0
+    least = 1
+    while True:
+        while done < len(order):
+            for g, take in steps:
+                visit(order[done], g, take)
+            done += 1
+        if len(order) == n:
+            # the order-1 table stalls on no index; 0 generates it
+            return rows, gens if gens or generators is not None else [0]
+        if generators is not None:
+            raise InvalidParameterError("given generators do not generate")
+        while rows[least] is not None:
+            least += 1
+        add(least)
+        for x in order[:done]:
+            visit(x, *steps[-1])
+
+
 class CayleyTableGroup(GroupHandle):
     """Group given by an explicit multiplication table over 0..n-1.
 
     Element i is encoded as the fixed-width big-endian integer i; element
-    0 must be the identity.  The constructor validates that every row is
-    a bijection, that 0 really is a two-sided identity, that two-sided
-    inverses exist, and that multiplication is associative.  The last
-    check is exact: by Light's test it suffices that (x*g)*y = x*(g*y)
-    for every generator g and all x, y, because the g that pass are
-    closed under products (Clifford & Preston, *The Algebraic Theory of
-    Semigroups*, Vol. I, 1961).
+    0 must be the identity.  ``table`` is any sequence of n rows, and
+    one breadth-first walk from 0 (:func:`_walk_table`) validates it.
+    The walk reads row 0 and each generator row in full; where it stalls,
+    the least unreached index becomes the next generator, unless
+    ``generators`` are given, which must reach every element.  For each
+    reached x and generator g it derives ``cand``, row x permuted by
+    row g, and compares it with the row of x*g: the given row where x*g
+    is first reached, the stored row after.  A given row is compared
+    through ``table.row_equals(i, cand)`` where the table has one (the
+    file loader compares text) and as a tuple otherwise.  The walk is
+    exact:
+
+    - it checks (x*g)*y = x*(g*y) for every x, every generator g and all
+      y, which is Light's test: the g that pass are closed under
+      products, so they pass only if the table is associative (Clifford
+      & Preston, *The Algebraic Theory of Semigroups*, Vol. I, 1961);
+    - every given row must equal its derived row, so a text match is
+      exact, and a row that does not match is read and checked in full;
+    - a row read in full is range-, length- and bijection-checked and
+      must fix column 0;
+    - a derived row permutes a bijection by a bijection, so it is one,
+      and it fixes column 0 by construction.
+
+    Two-sided inverses are then checked over all rows.
     """
 
     backend = "cayley-table"
@@ -229,26 +332,11 @@ class CayleyTableGroup(GroupHandle):
         n = len(table)
         if n < 1:
             raise InvalidParameterError("multiplication table must be nonempty")
-        rows = []
-        for i, row in enumerate(table):
-            # A tuple of exact ints (as the file loader builds) is kept
-            # as is; anything else is copied into one.
-            if type(row) is not tuple or set(map(type, row)) != {int}:
-                row = tuple(map(int, row))
-            if len(row) != n:
-                raise InvalidParameterError(
-                    f"row {i} has {len(row)} entries, expected {n}")
-            if len(set(row)) != n or min(row) != 0 or max(row) != n - 1:
-                raise InvalidParameterError(
-                    f"row {i} is not a bijection of 0..{n - 1}")
-            rows.append(row)
-        if rows[0] != tuple(range(n)):
-            raise InvalidParameterError(
-                "row 0 must be the identity row (element 0 is the identity)")
-        for i in range(n):
-            if rows[i][0] != i:
-                raise InvalidParameterError(
-                    f"column 0 must fix every element, but {i}*0 = {rows[i][0]}")
+        same = getattr(table, "row_equals", None)
+        if same is None:
+            def same(i, row):
+                return tuple(table[i]) == row
+        rows, gen_idx = _walk_table(n, table.__getitem__, same, generators)
         invtab = [0] * n
         for i in range(n):
             j = rows[i].index(0)
@@ -264,53 +352,8 @@ class CayleyTableGroup(GroupHandle):
         self._dec = {b: i for i, b in enumerate(self._enc)}
         self._table = rows
         self._invtab = invtab
-        if generators is None:
-            gen_idx = self._greedy_generators(rows)
-        else:
-            gen_idx = [int(i) for i in generators]
-            for i in gen_idx:
-                if not 0 <= i < n:
-                    raise InvalidParameterError(f"generator index {i} out of range")
-            if self._mulclose(rows, gen_idx) != set(range(n)):
-                raise InvalidParameterError("given generators do not generate")
-        self._assert_associative(rows, gen_idx)
         super().__init__(n, self._enc[0], (self._enc[i] for i in gen_idx),
                          order_cap)
-
-    @staticmethod
-    def _assert_associative(rows, gens) -> None:
-        """Light's test: row x*g equals row x permuted by row g, for each g.
-
-        ``gens`` must generate the table under products.  The order-1
-        table is skipped: it is associative, and ``itemgetter`` of one
-        index returns a scalar, not a tuple.
-        """
-        if len(rows) == 1:
-            return
-        for g in gens:
-            take = itemgetter(*rows[g])
-            for x, row in enumerate(rows):
-                lhs, rhs = rows[row[g]], take(row)
-                if lhs != rhs:
-                    y = next(y for y in range(len(rows)) if lhs[y] != rhs[y])
-                    raise InvalidParameterError(
-                        f"table is not associative at ({x},{g},{y})")
-
-    @staticmethod
-    def _mulclose(rows, gens) -> set[int]:
-        return _reach([0], lambda a: map(rows[a].__getitem__, gens),
-                      len(rows), "table closure")
-
-    @classmethod
-    def _greedy_generators(cls, rows) -> list[int]:
-        # Smallest-index-first generating set; deterministic and short.
-        n = len(rows)
-        gens: list[int] = []
-        known = {0}
-        while len(known) < n:
-            gens.append(min(set(range(n)) - known))
-            known = cls._mulclose(rows, gens)
-        return gens or [0]
 
     def index_of(self, x: Element) -> int:
         self._check(x.encoding)

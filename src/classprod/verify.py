@@ -152,12 +152,16 @@ def parse_report_record(obj: dict) -> TheoremReport:
                                     _shaped(v["expected"], str, "expected")))
     spectrum = {}
     for key, entry in _shaped(obj["spectrum"], dict, "spectrum").items():
-        if not (type(key) is str and key.isdecimal() and str(int(key)) == key):
+        try:
+            eta = int(key) if type(key) is str and key.isdecimal() else None
+        except ValueError:  # more digits than int() converts
+            eta = None
+        if eta is None or str(eta) != key:
             raise FormatError(f"spectrum key {key!r} is not a decimal eta")
         _shaped(entry, dict, f"spectrum entry {key}", {"count", "witness"})
         witness = _shaped(entry["witness"], dict, f"witness {key}",
                           {"group", "a", "b"})
-        spectrum[int(key)] = SpectrumEntry(
+        spectrum[eta] = SpectrumEntry(
             _shaped(entry["count"], int, "count"),
             _shaped(witness["group"], dict, "witness group"),
             _shaped(witness["a"], str, "a"), _shaped(witness["b"], str, "b"))

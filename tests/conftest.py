@@ -21,6 +21,7 @@ from classprod import (
     build,
     class_partition,
 )
+from classprod.formats import cayley_table_text
 from classprod.verify import SpectrumEntry, TheoremReport, Violation
 
 
@@ -132,6 +133,29 @@ def dihedral_reference_table(order: int) -> list[list[int]]:
         return k + m * (u ^ v)
 
     return [[mul(x, y) for y in range(order)] for x in range(order)]
+
+
+def relabelled_table(g, seed: int) -> list[list[int]]:
+    """Rows of ``cayley_table_text(g)`` under a seeded relabelling.
+
+    The labels 1..n-1 are shuffled by ``random.Random(seed)``; the
+    identity keeps 0, as the table format requires.
+    """
+    lines = cayley_table_text(g).splitlines()
+    n = int(lines[0])
+    rows = [[int(v) for v in line.split()] for line in lines[1:]]
+    label = [0] + random.Random(seed).sample(range(1, n), n - 1)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[label[i]][label[j]] = label[rows[i][j]]
+    return out
+
+
+def table_text(rows) -> str:
+    """``rows`` in the table file format, one space between entries."""
+    return f"{len(rows)}\n" + "".join(" ".join(map(str, row)) + "\n"
+                                      for row in rows)
 
 
 def random_pairs(g, count: int, seed: int = 0):

@@ -1,6 +1,7 @@
 """Reading and writing group description files."""
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -25,8 +26,10 @@ from classprod.formats import (
 )
 from classprod.verify import spectrum_for_group
 
-from conftest import dihedral_reference_table
+from conftest import dihedral_reference_table, relabelled_table, table_text
 
+
+ES3_2 = ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=2)
 
 NONASSOCIATIVE_5 = [
     [0, 1, 2, 3, 4],
@@ -108,19 +111,21 @@ def test_cayley_file_accepts_noncanonical_integer_tokens(tmp_path):
     assert padded.generators == plain.generators
 
 
-def test_cayley_file_rows_are_kept_as_loaded(tmp_path, monkeypatch):
-    passed = []
+def test_cayley_file_rows_share_one_set_of_ints(tmp_path):
+    # rows are read through one list of n ints or derived from such rows,
+    # so the table holds n int objects, not one per entry; row 500 is
+    # zero-padded, so it is parsed token by token and must join that set
+    def add(i, j):  # (Z_9)^3, digit by digit in base 9
+        return sum((i // d + j // d) % 9 * d for d in (1, 9, 81))
 
-    class Recording(CayleyTableGroup):
-        def __init__(self, table, **kwargs):
-            passed.append(table)
-            super().__init__(table, **kwargs)
-
-    monkeypatch.setattr(formats_mod, "CayleyTableGroup", Recording)
-    g = load_cayley_table(
-        _write(tmp_path, "z3.cayley", "3\n0 1 2\n1 2 0\n2 0 1\n"))
-    rows = passed[0]
-    assert all(g._table[i] is rows[i] for i in range(3))
+    n = 729
+    rows = [[add(i, j) for j in range(n)] for i in range(n)]
+    lines = table_text(rows).splitlines()
+    lines[501] = " ".join(f"{v:04d}" for v in rows[500])
+    g = load_cayley_table(_write(tmp_path, "g.cayley",
+                                 "\n".join(lines) + "\n"))
+    assert g._table == [tuple(row) for row in rows]
+    assert len({id(v) for row in g._table for v in row}) == n
 
 
 def test_cayley_file_rejects_short_table(tmp_path):
@@ -135,6 +140,88 @@ def test_cayley_file_rejects_garbage(tmp_path):
         load_cayley_table(path)
     # diagnostics carry path:lineno and the token
     assert f"{path}:2: 'x' is not an integer" in str(err.value)
+
+
+# Every corpus group to 243 at p = 3 and to 125 at p = 5.
+SMALL_CORPUS = corpus(3, 243) + corpus(5, 125)
+
+
+@pytest.mark.parametrize("spec", SMALL_CORPUS, ids=str)
+def test_relabelled_corpus_table_loads_as_in_memory(tmp_path, spec):
+    rows = relabelled_table(build(spec), seed=11)
+    loaded = load_cayley_table(_write(tmp_path, "g.cayley", table_text(rows)))
+    ref = CayleyTableGroup(rows)
+    assert loaded._table == ref._table == [tuple(row) for row in rows]
+    assert loaded._invtab == ref._invtab
+    assert loaded.generators == ref.generators
+
+
+def _record_walk(monkeypatch):
+    """The rows the loader reads in full and those it compares by text."""
+    read, compared = [], []
+    text = formats_mod._TableText
+    get, equals = text.__getitem__, text.row_equals
+    monkeypatch.setattr(text, "__getitem__",
+                        lambda self, i: read.append(i) or get(self, i))
+    monkeypatch.setattr(text, "row_equals", lambda self, i, row:
+                        compared.append(i) or equals(self, i, row))
+    return read, compared
+
+
+@pytest.fixture(scope="module")
+def es243_rows():
+    return relabelled_table(build(ES3_2), seed=4)
+
+
+def test_cayley_file_reads_only_row_zero_and_generator_rows(
+        tmp_path, monkeypatch, es243_rows):
+    read, compared = _record_walk(monkeypatch)
+    g = load_cayley_table(_write(tmp_path, "g.cayley",
+                                 table_text(es243_rows)))
+    gens = [g.index_of(x) for x in g.generators]
+    assert read == [0] + gens
+    assert sorted(compared) == sorted(set(range(1, 243)) - set(gens))
+
+
+def _derived_rows(tmp_path, monkeypatch, rows):
+    """First, middle and last row the walk derives, in walk order."""
+    _, compared = _record_walk(monkeypatch)
+    load_cayley_table(_write(tmp_path, "walk.cayley", table_text(rows)))
+    monkeypatch.undo()
+    return compared[0], compared[len(compared) // 2], compared[-1]
+
+
+def test_cayley_file_rejects_transpositions_in_derived_rows(
+        tmp_path, monkeypatch, es243_rows):
+    for z in _derived_rows(tmp_path, monkeypatch, es243_rows):
+        bad = [list(row) for row in es243_rows]
+        bad[z][1], bad[z][-1] = bad[z][-1], bad[z][1]
+        with pytest.raises(FormatError, match="not associative") as err:
+            load_cayley_table(_write(tmp_path, "bad.cayley", table_text(bad)))
+        x, g, y = map(int, re.search(r"at \((\d+),(\d+),(\d+)\)",
+                                     str(err.value)).groups())
+        assert bad[bad[x][g]][y] != bad[x][bad[g][y]]
+
+
+def test_cayley_file_rejects_a_duplicate_in_a_derived_row(
+        tmp_path, monkeypatch, es243_rows):
+    z = _derived_rows(tmp_path, monkeypatch, es243_rows)[-1]
+    bad = [list(row) for row in es243_rows]
+    bad[z][2] = bad[z][1]
+    with pytest.raises(FormatError, match=f"row {z} is not a bijection"):
+        load_cayley_table(_write(tmp_path, "bad.cayley", table_text(bad)))
+
+
+def test_cayley_file_parses_noncanonical_derived_rows(
+        tmp_path, monkeypatch, es243_rows):
+    first, middle, last = _derived_rows(tmp_path, monkeypatch, es243_rows)
+    lines = table_text(es243_rows).splitlines()
+    lines[1 + first] = "\t".join(f"{v:04d}" for v in es243_rows[first])
+    lines[1 + middle] = "  ".join(f"+{v}" for v in es243_rows[middle])
+    lines[1 + last] = " \t ".join(map(str, es243_rows[last]))
+    g = load_cayley_table(_write(tmp_path, "odd.cayley",
+                                 "\n".join(lines) + "\n"))
+    assert g._table == [tuple(row) for row in es243_rows]
 
 
 def _class_and_eta_invariants(g):
@@ -239,6 +326,16 @@ def test_load_group_sniffs_a_table_without_extension(tmp_path, dihedral8):
     assert desc["kind"] == "cayley-table-file"
     assert g._table == ref._table
     assert g.generators == ref.generators
+
+
+def test_load_group_reports_a_short_later_row_of_a_sniffed_table(
+        tmp_path, dihedral8):
+    lines = cayley_table_text(dihedral8).splitlines()
+    lines[6] = lines[6].rsplit(" ", 1)[0]
+    path = _write(tmp_path, "d8.txt", "\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as err:
+        load_group(path)
+    assert f"{path}:7: table row has 7 entries, expected 8" in str(err.value)
 
 
 def test_load_group_reads_a_sniffed_file_once(tmp_path, dihedral8,

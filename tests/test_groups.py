@@ -1,8 +1,11 @@
 """Group backends: arithmetic, validation, subgroups, quotients."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import classprod.groups as groups_mod
 from classprod import (
     CayleyTableGroup,
     ConstructionSpec,
@@ -27,6 +30,7 @@ from conftest import (
     brute_centralizer,
     brute_class,
     dihedral_reference_table,
+    relabelled_table,
     sample_elements,
 )
 
@@ -84,6 +88,66 @@ def test_cayley_rejects_swapped_intercalate_in_large_table():
     with pytest.raises(InvalidParameterError, match="not associative"):
         CayleyTableGroup(table)
     assert CayleyTableGroup(_cyclic_table(256)).order == 256
+
+
+def test_cayley_rejects_every_transposition_mutant_row():
+    # swapping two entries of any row but 0 leaves a Latin square with
+    # the same identity that is no group; the walk must name a triple
+    # that really fails, whether the row is read or derived
+    rows = relabelled_table(build(ConstructionSpec(
+        kind="extraspecial-exponent-p", p=3, l=1)), seed=9)
+    for z in range(1, len(rows)):
+        bad = [list(row) for row in rows]
+        bad[z][1], bad[z][2] = bad[z][2], bad[z][1]
+        with pytest.raises(InvalidParameterError,
+                           match="not associative") as err:
+            CayleyTableGroup(bad)
+        x, g, y = map(int, str(err.value).split("(")[1].rstrip(")").split(","))
+        assert bad[bad[x][g]][y] != bad[x][bad[g][y]]
+
+
+def test_cayley_walk_permutes_every_row_by_every_generator(monkeypatch):
+    # Light's test needs (x*g)*y = x*(g*y) for every x and generator g,
+    # so each generator's row must permute each of the n rows once, also
+    # the rows reached before the walk stalled and took that generator
+    calls = Counter()
+    real = groups_mod._permuter
+
+    def counting(row):
+        take = real(row)
+
+        def counted(r):
+            calls[row[0]] += 1
+            return take(r)
+        return counted
+
+    monkeypatch.setattr(groups_mod, "_permuter", counting)
+    g = CayleyTableGroup(relabelled_table(build(ConstructionSpec(
+        kind="elementary-abelian", p=3, n=3)), seed=9))
+    gens = [g.index_of(x) for x in g.generators]
+    assert len(gens) == 3
+    assert calls == {x: 27 for x in gens}
+
+
+def test_cayley_rejects_a_duplicate_in_a_derived_row():
+    table = _cyclic_table(6)
+    table[4][3] = table[4][2]
+    with pytest.raises(InvalidParameterError, match="row 4 is not a bijection"):
+        CayleyTableGroup(table)
+
+
+def test_cayley_order_one_table_loads():
+    for gens in (None, [0]):
+        g = CayleyTableGroup([[0]], generators=gens)
+        assert g.order == 1
+        assert g.generators == (g.identity,)
+
+
+def test_cayley_rejects_generators_that_do_not_generate():
+    with pytest.raises(InvalidParameterError,
+                       match="given generators do not generate"):
+        CayleyTableGroup(_cyclic_table(4), generators=[2])
+    assert CayleyTableGroup(_cyclic_table(4), generators=[3]).order == 4
 
 
 def test_cayley_rejects_non_latin_rows():

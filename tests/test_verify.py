@@ -154,6 +154,15 @@ def test_parse_rejects_every_malformed_shape_as_format_error(name):
         parse_report_record(record)
 
 
+def test_parse_rejects_a_spectrum_key_beyond_the_int_digit_limit():
+    # int() of a numeral over 4,300 digits raises ValueError, which once
+    # leaked out of the parser
+    record = _well_formed_record()
+    record["spectrum"] = {"1" * 5000: record["spectrum"]["1"]}
+    with pytest.raises(FormatError, match="is not a decimal eta"):
+        parse_report_record(record)
+
+
 def test_labels_are_fixed():
     assert THEOREM_LABELS == ("A", "B", "Prop2.1", "Prop4.1", "Prop4.3",
                               "Remark4.2")
