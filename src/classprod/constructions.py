@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -129,6 +130,26 @@ class ConstructionSpec:
 # spec validation and order prediction
 
 def validate_spec(spec: ConstructionSpec) -> None:
+    """Raise unless ``spec`` is valid; the checks are :func:`predicted_order`'s."""
+    predicted_order(spec)
+
+
+def _require_byte(value: int, name: str, why: str) -> None:
+    if value > 255:
+        raise InvalidParameterError(
+            f"{why}, so it needs {name} <= 255, got {value}")
+
+
+def predicted_order(spec: ConstructionSpec) -> int:
+    """Check a spec and return the order of its group, building nothing.
+
+    This is the one pass over a spec: every field that is set must be
+    one its kind reads, every value must satisfy its kind's rules
+    (including the one-byte limits of the encodings that store values
+    mod p or permutation points in a byte), and ``base`` and ``factors``
+    are checked the same way.  A spec that passes builds, unless a
+    permutation closure exceeds the order cap.
+    """
     kind = spec.kind
     if kind not in KINDS:
         raise InvalidParameterError(f"unknown construction kind {kind!r}")
@@ -137,73 +158,58 @@ def validate_spec(spec: ConstructionSpec) -> None:
                 and name not in _KIND_FIELDS[kind]:
             raise InvalidParameterError(
                 f"{kind} does not read the spec field {name!r}")
+    p = spec.p
     if kind == "cyclic":
         if spec.n is None or spec.n < 1:
             raise InvalidParameterError("cyclic needs an order n >= 1")
-    elif kind == "elementary-abelian":
-        _require_prime(spec.p, "elementary-abelian")
+        return spec.n
+    if kind == "elementary-abelian":
+        _require_prime(p, kind)
         if spec.n is None or spec.n < 1:
             raise InvalidParameterError("elementary-abelian needs a rank n >= 1")
-    elif kind == "dihedral":
+        return p ** spec.n
+    if kind == "dihedral":
         if spec.n is None or spec.n < 4 or spec.n % 2:
             raise InvalidParameterError(
                 f"dihedral needs an even order n >= 4, got {spec.n!r}")
-    elif kind == "quaternion8":
-        pass
-    elif kind == "extraspecial-exponent-p":
-        _require_odd_prime(spec.p, "extraspecial-exponent-p")
-        if spec.l is None or spec.l < 1:
-            raise InvalidParameterError("extraspecial-exponent-p needs l >= 1")
-    elif kind == "direct-product":
-        if not spec.factors:
-            raise InvalidParameterError("direct-product needs at least one factor")
-        for f in spec.factors:
-            validate_spec(f)
-    elif kind == "wreath-cyclic":
-        _require_odd_prime(spec.p, "wreath-cyclic")
-        if spec.base is None:
-            raise InvalidParameterError("wreath-cyclic needs a base spec")
-        validate_spec(spec.base)
-    elif kind == "affine-wreath":
-        _require_prime(spec.p, "affine-wreath")
-    elif kind == "iterated-wreath-sylow":
-        _require_prime(spec.p, "iterated-wreath-sylow")
-        if spec.copies is None or spec.copies < 1:
-            raise InvalidParameterError(
-                "iterated-wreath-sylow needs copies >= 1 (wreath levels)")
-
-
-def predicted_order(spec: ConstructionSpec) -> int:
-    """Group order implied by the spec, without building anything."""
-    validate_spec(spec)
-    kind = spec.kind
-    if kind == "cyclic":
-        return spec.n
-    if kind == "elementary-abelian":
-        return spec.p ** spec.n
-    if kind == "dihedral":
         return spec.n
     if kind == "quaternion8":
         return 8
     if kind == "extraspecial-exponent-p":
-        return spec.p ** (2 * spec.l + 1)
+        _require_odd_prime(p, kind)
+        if spec.l is None or spec.l < 1:
+            raise InvalidParameterError("extraspecial-exponent-p needs l >= 1")
+        _require_byte(p, "p", f"{kind} stores residues mod p in one byte")
+        return p ** (2 * spec.l + 1)
     if kind == "direct-product":
-        out = 1
-        for f in spec.factors:
-            out *= predicted_order(f)
-        return out
+        if not spec.factors:
+            raise InvalidParameterError("direct-product needs at least one factor")
+        return math.prod(predicted_order(f) for f in spec.factors)
     if kind == "wreath-cyclic":
-        return predicted_order(spec.base) ** spec.p * spec.p
+        _require_odd_prime(p, kind)
+        _require_byte(p, "p", f"{kind} stores its shift mod p in one byte")
+        if spec.base is None:
+            raise InvalidParameterError("wreath-cyclic needs a base spec")
+        return predicted_order(spec.base) ** p * p
     if kind == "affine-wreath":
-        return spec.p ** spec.p * spec.p * (spec.p - 1)
-    if kind == "iterated-wreath-sylow":
-        exponent = (spec.p ** spec.copies - 1) // (spec.p - 1)
-        return spec.p ** exponent
-    raise InvalidParameterError(f"unknown construction kind {kind!r}")
+        _require_prime(p, kind)
+        _require_byte(p, "p", f"{kind} stores residues mod p in one byte")
+        return p ** p * p * (p - 1)
+    # iterated-wreath-sylow, the last kind
+    _require_prime(p, kind)
+    if spec.copies is None or spec.copies < 1:
+        raise InvalidParameterError(
+            "iterated-wreath-sylow needs copies >= 1 (wreath levels)")
+    _require_byte(p ** spec.copies, "p^copies",
+                  f"{kind} permutes p^copies points, one byte each")
+    return p ** ((p ** spec.copies - 1) // (p - 1))
 
 
 # ----------------------------------------------------------------------
 # structured backends
+#
+# The constructors trust their parameters: :func:`build` checks a spec
+# once, through :func:`predicted_order`, before it calls any of them.
 
 class CyclicGroup(GroupHandle):
     """Integers mod n, encoded as fixed-width big-endian residues."""
@@ -211,8 +217,6 @@ class CyclicGroup(GroupHandle):
     backend = "structured-construction"
 
     def __init__(self, n: int, order_cap: int = DEFAULT_ORDER_CAP):
-        if n < 1:
-            raise InvalidParameterError(f"cyclic order must be >= 1, got {n}")
         self.n = n
         self._width = int_byte_width(n - 1)
         ident = self._encode(0)
@@ -244,8 +248,6 @@ class DirectProductGroup(GroupHandle):
 
     def __init__(self, factors: Sequence[GroupHandle],
                  order_cap: int = DEFAULT_ORDER_CAP):
-        if not factors:
-            raise InvalidParameterError("direct product needs at least one factor")
         self.factor_groups = tuple(factors)
         widths = [f.encoding_width for f in factors]
         self._slices = []
@@ -259,9 +261,7 @@ class DirectProductGroup(GroupHandle):
                                 in zip(self.factor_groups, self._slices))
         self._inv_parts = tuple((f._inv, a, b) for f, (a, b)
                                 in zip(self.factor_groups, self._slices))
-        order = 1
-        for f in factors:
-            order *= f.order
+        order = math.prod(f.order for f in factors)
         ident = b"".join(f._identity_raw for f in factors)
         gens = []
         for i, f in enumerate(factors):
@@ -300,9 +300,6 @@ class DihedralGroup(GroupHandle):
     backend = "structured-construction"
 
     def __init__(self, order: int, order_cap: int = DEFAULT_ORDER_CAP):
-        if order < 4 or order % 2:
-            raise InvalidParameterError(
-                f"dihedral order must be even and >= 4, got {order}")
         self.m = order // 2
         self._rw = int_byte_width(self.m - 1)
         ident = self._encode(0, 0)
@@ -349,25 +346,12 @@ class ExtraspecialGroup(GroupHandle):
     backend = "structured-construction"
 
     def __init__(self, p: int, l: int, order_cap: int = DEFAULT_ORDER_CAP):
-        _require_odd_prime(p, "extraspecial-exponent-p")
-        if l < 1:
-            raise InvalidParameterError(f"extraspecial l must be >= 1, got {l}")
-        if p > 255:
-            raise InvalidParameterError("extraspecial residues must fit one byte")
         self.p = p
         self.l = l
         width = 2 * l + 1
-        ident = bytes(width)
-        gens = []
-        for i in range(l):
-            x = bytearray(width)
-            x[i] = 1
-            gens.append(bytes(x))
-        for i in range(l):
-            y = bytearray(width)
-            y[l + i] = 1
-            gens.append(bytes(y))
-        super().__init__(p ** width, ident, gens, order_cap)
+        # the unit vectors of the x and then the y coordinates
+        gens = [bytes(i) + b"\x01" + bytes(width - 1 - i) for i in range(2 * l)]
+        super().__init__(p ** width, bytes(width), gens, order_cap)
 
     def _mul(self, x: bytes, y: bytes) -> bytes:
         p = self.p
@@ -415,7 +399,6 @@ class WreathCyclicGroup(GroupHandle):
 
     def __init__(self, base: GroupHandle, p: int,
                  order_cap: int = DEFAULT_ORDER_CAP):
-        _require_odd_prime(p, "wreath-cyclic")
         self.base = base
         self.p = p
         self._w = base.encoding_width
@@ -478,9 +461,6 @@ class AffineWreathGroup(GroupHandle):
     backend = "structured-construction"
 
     def __init__(self, p: int, order_cap: int = DEFAULT_ORDER_CAP):
-        _require_prime(p, "affine-wreath")
-        if p > 255:
-            raise InvalidParameterError("affine-wreath residues must fit one byte")
         self.p = p
         self._invmod = [0] * p
         for u in range(1, p):
@@ -494,15 +474,9 @@ class AffineWreathGroup(GroupHandle):
 
     @staticmethod
     def _primitive_root(p: int) -> int:
-        for g in range(2, p):
-            seen = set()
-            acc = 1
-            for _ in range(p - 1):
-                acc = acc * g % p
-                seen.add(acc)
-            if len(seen) == p - 1:
-                return g
-        raise InvalidParameterError(f"no primitive root mod {p}")
+        # The least unit whose powers reach all p - 1 units; a prime has one.
+        return next(g for g in range(2, p)
+                    if len({pow(g, k, p) for k in range(1, p)}) == p - 1)
 
     def _mul(self, x: bytes, y: bytes) -> bytes:
         p = self.p
@@ -560,10 +534,6 @@ def _sylow_permutation(p: int, levels: int,
     # One shift generator per wreath level: level k advances each point
     # by p^(k-1) within its block of p^k points.
     degree = p ** levels
-    if degree > 255:
-        raise InvalidParameterError(
-            f"iterated-wreath-sylow degree {degree} exceeds the permutation "
-            "backend limit of 255 points")
     gens = []
     for k in range(1, levels + 1):
         block = p ** k
@@ -578,36 +548,40 @@ def _sylow_permutation(p: int, levels: int,
 
 def build(spec: ConstructionSpec,
           order_cap: int = DEFAULT_ORDER_CAP) -> GroupHandle:
-    """Build the group a spec describes.  The result's order always
-    equals :func:`predicted_order`."""
-    validate_spec(spec)
-    kind = spec.kind
-    if kind == "cyclic":
-        g: GroupHandle = CyclicGroup(spec.n, order_cap)
-    elif kind == "elementary-abelian":
-        g = DirectProductGroup([CyclicGroup(spec.p, order_cap)
-                                for _ in range(spec.n)], order_cap)
-    elif kind == "dihedral":
-        g = DihedralGroup(spec.n, order_cap)
-    elif kind == "quaternion8":
-        g = _quaternion8(order_cap)
-    elif kind == "extraspecial-exponent-p":
-        g = ExtraspecialGroup(spec.p, spec.l, order_cap)
-    elif kind == "direct-product":
-        g = DirectProductGroup([build(f, order_cap) for f in spec.factors],
-                               order_cap)
-    elif kind == "wreath-cyclic":
-        g = WreathCyclicGroup(build(spec.base, order_cap), spec.p, order_cap)
-    elif kind == "affine-wreath":
-        g = AffineWreathGroup(spec.p, order_cap)
-    else:
-        g = _sylow_permutation(spec.p, spec.copies, order_cap)
+    """Build the group a spec describes.  The spec is checked once, by
+    :func:`predicted_order`, and the result's order always equals it."""
     want = predicted_order(spec)
+    g = _construct(spec, order_cap)
     if g.order != want:
         raise InvalidParameterError(
             f"built order {g.order} does not match predicted order {want} "
             f"for {spec}")
     return g
+
+
+def _construct(spec: ConstructionSpec, order_cap: int) -> GroupHandle:
+    """The backend for a spec that :func:`predicted_order` accepted."""
+    kind = spec.kind
+    if kind == "cyclic":
+        return CyclicGroup(spec.n, order_cap)
+    if kind == "elementary-abelian":
+        return DirectProductGroup([CyclicGroup(spec.p, order_cap)
+                                   for _ in range(spec.n)], order_cap)
+    if kind == "dihedral":
+        return DihedralGroup(spec.n, order_cap)
+    if kind == "quaternion8":
+        return _quaternion8(order_cap)
+    if kind == "extraspecial-exponent-p":
+        return ExtraspecialGroup(spec.p, spec.l, order_cap)
+    if kind == "direct-product":
+        return DirectProductGroup([_construct(f, order_cap)
+                                   for f in spec.factors], order_cap)
+    if kind == "wreath-cyclic":
+        return WreathCyclicGroup(_construct(spec.base, order_cap), spec.p,
+                                 order_cap)
+    if kind == "affine-wreath":
+        return AffineWreathGroup(spec.p, order_cap)
+    return _sylow_permutation(spec.p, spec.copies, order_cap)
 
 
 def _least_noncentral(g: GroupHandle) -> bytes:
@@ -726,9 +700,8 @@ def corpus(p: int, max_order: int) -> list[ConstructionSpec]:
             specs.append(_S(kind="wreath-cyclic", p=p,
                             base=_S(kind="extraspecial-exponent-p", p=p, l=1)))
     levels = 2
-    while predicted_order(_S(kind="iterated-wreath-sylow", p=p,
-                             copies=levels)) <= max_order \
-            and p ** levels <= 255:
+    while p ** levels <= 255 and predicted_order(
+            _S(kind="iterated-wreath-sylow", p=p, copies=levels)) <= max_order:
         specs.append(_S(kind="iterated-wreath-sylow", p=p, copies=levels))
         levels += 1
     return specs

@@ -41,6 +41,10 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise FormatError(f"{path}: cannot read file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} at "
+            f"offset {exc.start}") from exc
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -227,6 +231,7 @@ def load_group(path: str,
         spec = _parse_spec(text, path)
         return build(spec, order_cap), spec.to_plain()
     lines = _content_lines(text)
+    del text  # the table is built from ``lines``; free the file's text first
     if kind is None:
         kind = _sniff_kind(lines, path)
     if kind == "cayley":

@@ -251,6 +251,34 @@ def test_worker_cap_error_matches_the_serial_run(capsys):
     assert json.loads(stderr)["error"] == "enumeration-too-large"
 
 
+def _wreath257_spec(tmp_path):
+    path = tmp_path / "wreath257.spec"
+    path.write_text(ConstructionSpec(
+        kind="wreath-cyclic", p=257,
+        base=ConstructionSpec(kind="cyclic", n=2)).to_json())
+    return ["product", "--group", str(path), "--a", "g0", "--b", "g0"]
+
+
+def _non_utf8_table(tmp_path):
+    path = tmp_path / "bad.cayley"
+    path.write_bytes(b"2\n0 1\n1 \xff\n")
+    return ["inspect", "--group", str(path)]
+
+
+@pytest.mark.parametrize("make_args,code", [
+    (lambda _: ["reproduce", "--p", "257"], "invalid-parameter"),
+    (_wreath257_spec, "invalid-parameter"),
+    (_non_utf8_table, "bad-file-format"),
+], ids=["reproduce-p257", "product-wreath257", "inspect-non-utf8"])
+def test_bad_input_is_one_error_record_not_a_traceback(make_args, code,
+                                                      tmp_path, capsys):
+    assert main(make_args(tmp_path)) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1
+    assert json.loads(out.err)["error"] == code
+
+
 def test_even_p_reproduce_is_input_error(capsys):
     for jobs in ("1", "2"):
         code = main(["reproduce", "--p", "2", "--jobs", jobs])

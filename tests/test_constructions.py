@@ -1,5 +1,6 @@
 """Construction specs, builders, distinguished elements, and the corpus."""
 
+import hashlib
 import json
 
 import pytest
@@ -80,10 +81,37 @@ def test_spec_rejects_unknown_kind():
     ConstructionSpec(kind="affine-wreath", p=6),
     ConstructionSpec(kind="iterated-wreath-sylow", p=3, copies=0),
     ConstructionSpec(kind="direct-product"),               # missing factors
+    # the one-byte encodings: a shift, residues mod p, permutation points
+    ConstructionSpec(kind="wreath-cyclic", p=257,
+                     base=ConstructionSpec(kind="cyclic", n=2)),
+    ConstructionSpec(kind="extraspecial-exponent-p", p=257, l=1),
+    ConstructionSpec(kind="affine-wreath", p=257),
+    ConstructionSpec(kind="iterated-wreath-sylow", p=17, copies=2),
 ])
 def test_spec_validation_rejects(bad):
-    with pytest.raises(InvalidParameterError):
+    # a spec validates if and only if it builds: all three raise alike
+    with pytest.raises(InvalidParameterError) as first:
         validate_spec(bad)
+    for check in (predicted_order, build):
+        with pytest.raises(InvalidParameterError) as err:
+            check(bad)
+        assert type(err.value) is type(first.value)
+        assert str(err.value) == str(first.value)
+
+
+@pytest.mark.parametrize("spec", [
+    ConstructionSpec(kind="wreath-cyclic", p=251,
+                     base=ConstructionSpec(kind="cyclic", n=2)),
+    ConstructionSpec(kind="extraspecial-exponent-p", p=251, l=1),
+    ConstructionSpec(kind="affine-wreath", p=251),
+    ConstructionSpec(kind="iterated-wreath-sylow", p=2, copies=4),
+], ids=str)
+def test_a_spec_at_the_one_byte_limit_validates_and_builds(spec):
+    validate_spec(spec)
+    g = build(spec)
+    assert g.order == predicted_order(spec)
+    for x in g.generators:
+        assert g.multiply(x, g.inverse(x)) == g.identity
 
 
 def test_even_prime_has_specific_error():
@@ -266,6 +294,46 @@ def test_corpus_is_deterministic():
     assert corpus(3, 729) == corpus(3, 729)
     assert [json.loads(s.to_json()) for s in corpus(5, 625)] \
         == [json.loads(s.to_json()) for s in corpus(5, 625)]
+
+
+# sha256 of the corpus specs' JSON, one per line, with the spec count.
+CORPUS_DIGESTS = {
+    (2, 64): (22, "f6722e2da00895ea89df343e1486bf33"
+                  "823dbf269ef86579de464f2166172dcd"),
+    (3, 729): (20, "c4bfc26f927bd18373218c2147773ba1"
+                   "20b204c82fcfd5e5aaaa2d429507d404"),
+    (5, 78125): (24, "a767f690916f8f712599c58393f79149"
+                     "f54a3f253d3d83055e46aabd1677cf8a"),
+    (7, 117649): (18, "da59a076be4e65abe38fa8cb4f0971be"
+                      "0e401732a203c85120208b8cd9c400de"),
+}
+
+
+@pytest.mark.parametrize("p,max_order", sorted(CORPUS_DIGESTS))
+def test_corpus_lists_are_pinned(p, max_order):
+    specs = corpus(p, max_order)
+    text = "\n".join(s.to_json() for s in specs)
+    assert (len(specs), hashlib.sha256(text.encode()).hexdigest()) \
+        == CORPUS_DIGESTS[p, max_order]
+
+
+def test_corpus_beyond_one_byte_primes_is_pinned():
+    # p = 257 gets no wreath families; the extraspecial specs stay listed
+    # and are rejected when built.
+    assert [str(s) for s in corpus(257, 257 ** 3)] == [
+        "cyclic(n=257)", "cyclic(n=66049)", "cyclic(n=16974593)",
+        "elementary-abelian(p=257, n=2)", "elementary-abelian(p=257, n=3)",
+        "direct-product(factors=[cyclic(n=66049), cyclic(n=257)])",
+        "extraspecial-exponent-p(p=257, l=1)"]
+    assert [str(s) for s in corpus(257, 10 ** 12)] == [
+        "cyclic(n=257)", "cyclic(n=66049)", "cyclic(n=16974593)",
+        "cyclic(n=4362470401)",
+        "elementary-abelian(p=257, n=2)", "elementary-abelian(p=257, n=3)",
+        "elementary-abelian(p=257, n=4)",
+        "direct-product(factors=[cyclic(n=66049), cyclic(n=257)])",
+        "extraspecial-exponent-p(p=257, l=1)",
+        "direct-product(factors=[extraspecial-exponent-p(p=257, l=1), "
+        "cyclic(n=257)])"]
 
 
 def test_corpus_orders_within_bound():

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -359,6 +360,36 @@ def test_load_group_unsniffable(tmp_path):
     path = _write(tmp_path, "noise.txt", "purple monkey dishwasher\n")
     with pytest.raises(FormatError):
         load_group(path)
+
+
+@pytest.mark.parametrize("name,data", [
+    ("g.cayley", b"2\n0 1\n1 \xff\n"),
+    ("g.spec", b'{"kind": "cyclic", "n": 3, "\xff": 1}'),
+    ("g.txt", b"\xff"),
+], ids=["cayley", "spec", "sniffed"])
+def test_load_group_rejects_non_utf8_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(FormatError,
+                       match=re.escape(f"{path}: not UTF-8 text: byte 0xff")):
+        load_group(str(path))
+
+
+def test_load_group_frees_the_file_text_before_building_a_table(tmp_path):
+    text = cayley_table_text(build(
+        ConstructionSpec(kind="elementary-abelian", p=3, n=6)))
+    path = _write(tmp_path, "ea729.cayley", text)
+    size = len(text)
+    del text
+    tracemalloc.start()
+    try:
+        g, _ = load_group(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.order == 729
+    # The split lines are one copy of the file; the text would be a second.
+    assert peak - retained < 1.5 * size
 
 
 def test_cayley_table_text_round_trips_in_memory(quaternion8):
