@@ -32,6 +32,8 @@ from .groups import DEFAULT_ORDER_CAP
 from .verify import (
     TheoremReport,
     eta_spectrum,
+    merge_spectrum_reports,
+    parse_report_record,
     reproduce_examples,
     verify_corpus,
     verify_group,
@@ -229,9 +231,14 @@ def _jsonl(records: list[dict]) -> str:
                    for r in records)
 
 
-def _spectrum_csv(records: list[dict]) -> str:
-    # The merged corpus-level record is always last; csv flattens just it.
+def _spectrum_csv(records: list[dict], ns: argparse.Namespace) -> str:
+    # csv flattens the merged corpus-level record, which comes last.  A
+    # run stopped by a gap violation has none: merge the groups it swept.
     merged = records[-1]
+    if merged["group"].get("kind") != "corpus":
+        merged = merge_spectrum_reports(
+            ns.p, ns.max_order, [parse_report_record(r) for r in records]
+        ).to_record()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["eta", "count", "witness_group", "witness_a",
@@ -248,7 +255,7 @@ def _spectrum_csv(records: list[dict]) -> str:
 
 
 def _write_records(records: list[dict], ns: argparse.Namespace) -> None:
-    text = (_spectrum_csv(records) if ns.fmt == "csv" else _jsonl(records))
+    text = (_spectrum_csv(records, ns) if ns.fmt == "csv" else _jsonl(records))
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

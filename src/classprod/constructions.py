@@ -633,10 +633,6 @@ def distinguished_element(spec: ConstructionSpec, role: str,
         f"role {role!r} is not defined for construction kind {kind!r}")
 
 
-def _S(**kwargs) -> ConstructionSpec:
-    return ConstructionSpec(**kwargs)
-
-
 def corpus(p: int, max_order: int) -> list[ConstructionSpec]:
     """The deterministic battery of p-groups of order <= max_order.
 
@@ -645,63 +641,51 @@ def corpus(p: int, max_order: int) -> list[ConstructionSpec]:
     the cyclic wreaths, and the Sylow p-subgroups of symmetric groups.
     p = 2 swaps the odd-only families for the dihedral and quaternion
     ones (plus their products with the 2-element group).
+
+    Each family lists its members by growing order and is cut before the
+    first one :func:`predicted_order` rejects or sizes above
+    ``max_order``, so every spec listed validates.  The smallest
+    nonabelian member, of order p^3, must fit; for p > 255 it cannot.
     """
     _require_prime(p, "corpus")
-    if max_order < p ** 3:
+    S = ConstructionSpec
+    es1 = S(kind="extraspecial-exponent-p", p=p, l=1)
+    least = S(kind="dihedral", n=8) if p == 2 else es1
+    if predicted_order(least) > max_order:
         raise InvalidParameterError(
             f"max_order {max_order} is below p^3 = {p ** 3}; the corpus "
             "needs room for at least one nonabelian group")
-    specs: list[ConstructionSpec] = []
-    k = 1
-    while p ** k <= max_order:
-        specs.append(_S(kind="cyclic", n=p ** k))
-        k += 1
-    k = 2
-    while p ** k <= max_order:
-        specs.append(_S(kind="elementary-abelian", p=p, n=k))
-        k += 1
-    if p ** 3 <= max_order:
-        specs.append(_S(kind="direct-product",
-                        factors=(_S(kind="cyclic", n=p * p),
-                                 _S(kind="cyclic", n=p))))
+
+    def fits(spec: ConstructionSpec) -> bool:
+        try:
+            return predicted_order(spec) <= max_order
+        except InvalidParameterError:
+            return False
+
+    def cyclic(n: int) -> ConstructionSpec:
+        return S(kind="cyclic", n=n)
+
+    def times(spec: ConstructionSpec, n: int) -> ConstructionSpec:
+        return S(kind="direct-product", factors=(spec, cyclic(n)))
+
+    count = itertools.count
+    families = [(cyclic(p ** k) for k in count(1)),
+                (S(kind="elementary-abelian", p=p, n=n) for n in count(2)),
+                [times(cyclic(p * p), p)]]
     if p == 2:
-        n = 8
-        while n <= max_order:
-            specs.append(_S(kind="dihedral", n=n))
-            n *= 2
-        if max_order >= 8:
-            specs.append(_S(kind="quaternion8"))
-        n = 8
-        while 2 * n <= max_order:
-            specs.append(_S(kind="direct-product",
-                            factors=(_S(kind="dihedral", n=n),
-                                     _S(kind="cyclic", n=2))))
-            n *= 2
-        if max_order >= 16:
-            specs.append(_S(kind="direct-product",
-                            factors=(_S(kind="quaternion8"),
-                                     _S(kind="cyclic", n=2))))
+        q8 = S(kind="quaternion8")
+        families += [(S(kind="dihedral", n=2 ** k) for k in count(3)), [q8],
+                     (times(S(kind="dihedral", n=2 ** k), 2)
+                      for k in count(3)),
+                     [times(q8, 2)]]
     else:
-        for l in (1, 2):
-            if p ** (2 * l + 1) <= max_order:
-                specs.append(_S(kind="extraspecial-exponent-p", p=p, l=l))
-        for l in (1, 2):
-            m = 1
-            while p ** (2 * l + 1) * p ** m <= max_order:
-                specs.append(_S(kind="direct-product",
-                                factors=(_S(kind="extraspecial-exponent-p",
-                                            p=p, l=l),
-                                         _S(kind="cyclic", n=p ** m))))
-                m += 1
-        if p ** (p + 1) <= max_order:
-            specs.append(_S(kind="wreath-cyclic", p=p,
-                            base=_S(kind="cyclic", n=p)))
-        if p ** (3 * p + 1) <= max_order:
-            specs.append(_S(kind="wreath-cyclic", p=p,
-                            base=_S(kind="extraspecial-exponent-p", p=p, l=1)))
-    levels = 2
-    while p ** levels <= 255 and predicted_order(
-            _S(kind="iterated-wreath-sylow", p=p, copies=levels)) <= max_order:
-        specs.append(_S(kind="iterated-wreath-sylow", p=p, copies=levels))
-        levels += 1
-    return specs
+        es2 = S(kind="extraspecial-exponent-p", p=p, l=2)
+        families += [[es1, es2],
+                     (times(es1, p ** k) for k in count(1)),
+                     (times(es2, p ** k) for k in count(1)),
+                     [S(kind="wreath-cyclic", p=p, base=base)
+                      for base in (cyclic(p), es1)]]
+    families.append(S(kind="iterated-wreath-sylow", p=p, copies=k)
+                    for k in count(2))
+    return [spec for family in families
+            for spec in itertools.takewhile(fits, family)]

@@ -1,7 +1,10 @@
 """Command-line behavior: output records, exit codes, determinism."""
 
+import argparse
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -11,7 +14,8 @@ import pytest
 import classprod
 import classprod.verify as verify_mod
 from classprod import ConstructionSpec, build, center, corpus
-from classprod.cli import main
+from classprod.cli import build_parser, main
+from classprod.verify import merge_spectrum_reports, parse_report_record
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +196,32 @@ def test_spectrum_csv(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_spectrum_csv_after_a_gap_violation_tallies_every_swept_group(
+        capsys, monkeypatch):
+    # eta = 2 is inside the p = 5 gap; faked on the order-625 group, the
+    # run stops there with no merged record, after ES(5,1) was swept.
+    real = verify_mod.class_product
+    monkeypatch.setattr(
+        verify_mod, "class_product",
+        lambda x, y: (SimpleNamespace(eta=2) if x.group.order == 625
+                      else real(x, y)))
+    args = ["spectrum", "--p", "5", "--max-order", "625", "--jobs", "1"]
+    code, records, _ = run_cli(args, capsys)
+    assert code == 2
+    assert [r["group"]["kind"] for r in records[-2:]] == [
+        "extraspecial-exponent-p", "direct-product"]
+    assert main(args + ["--format", "csv"]) == 2
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    merged = merge_spectrum_reports(
+        5, 625, [parse_report_record(r) for r in records])
+    assert rows[1:] == [
+        [str(eta), str(e.count),
+         json.dumps(e.witness_group, sort_keys=True, separators=(",", ":")),
+         e.witness_a, e.witness_b]
+        for eta, e in sorted(merged.spectrum.items())]
+    assert [row[0] for row in rows[1:]] == ["1", "2", "5"]
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 
@@ -206,10 +236,17 @@ def test_spectrum_csv(tmp_path, capsys):
     ["spectrum", "--p", "3"],                              # no max-order
     ["classes"],                                           # no group
     ["nonsense"],                                          # no such command
+    ["verify", "--theorem", "a", "--group", "x.spec"],     # no p
+    ["spectrum", "--p", "3", "--max-order", "27", "--jobs", "0"],
+    ["classes", "--group", "x.spec", "--cap", "0"],
 ])
 def test_usage_errors_exit_one(args, capsys):
     code = main(args)
     assert code == 1
+    err = capsys.readouterr().err
+    records = [json.loads(line) for line in err.splitlines()
+               if line.startswith("{")]
+    assert [r["error"] for r in records] == ["invalid-parameter"]
 
 
 def test_usage_error_for_both_sources(affine_spec, capsys):
@@ -269,7 +306,10 @@ def _non_utf8_table(tmp_path):
     (lambda _: ["reproduce", "--p", "257"], "invalid-parameter"),
     (_wreath257_spec, "invalid-parameter"),
     (_non_utf8_table, "bad-file-format"),
-], ids=["reproduce-p257", "product-wreath257", "inspect-non-utf8"])
+    (lambda _: ["spectrum", "--p", "257", "--max-order", "16974593"],
+     "invalid-parameter"),
+], ids=["reproduce-p257", "product-wreath257", "inspect-non-utf8",
+        "spectrum-p257"])
 def test_bad_input_is_one_error_record_not_a_traceback(make_args, code,
                                                       tmp_path, capsys):
     assert main(make_args(tmp_path)) == 1
@@ -400,3 +440,18 @@ def test_importing_the_cli_loads_no_process_pool():
                          "print('concurrent.futures' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_readme_flags_line_lists_every_long_option():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        flags_line = re.search(r"^Flags:(.*?)\n\n", fh.read(),
+                               re.MULTILINE | re.DOTALL).group(1)
+    documented = set(re.findall(r"`(--[a-z-]+)", flags_line))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    defined = {option for sub in subparsers.choices.values()
+               for action in sub._actions for option in action.option_strings
+               if option.startswith("--") and option != "--help"}
+    assert documented == defined
+    assert len(defined) == 12

@@ -306,6 +306,15 @@ CORPUS_DIGESTS = {
                      "f54a3f253d3d83055e46aabd1677cf8a"),
     (7, 117649): (18, "da59a076be4e65abe38fa8cb4f0971be"
                       "0e401732a203c85120208b8cd9c400de"),
+    # the iterated-wreath-sylow tower ends on its byte rule at copies = 8
+    (2, 10 ** 80): (1063, "7ce0dd188c3613eb8729a26cce0c40b3"
+                          "ab46f21b21a8fe4ef910aa789c8b0ad4"),
+    (11, 10 ** 6): (14, "d4cd140e8f1a944fe262461ddb390f69"
+                        "685a6bdce6ab32f6f8c289715c6b2e8f"),
+    (13, 10 ** 12): (34, "e89f372481a0a8ff570848803609c1cb"
+                         "40716f1fd135459c2f43529b2768d976"),
+    (251, 10 ** 30): (42, "b1c775661c12e11cd234346a7a81ddbd"
+                          "ac288df62f8d58a71ccb47407c101ab9"),
 }
 
 
@@ -318,22 +327,23 @@ def test_corpus_lists_are_pinned(p, max_order):
 
 
 def test_corpus_beyond_one_byte_primes_is_pinned():
-    # p = 257 gets no wreath families; the extraspecial specs stay listed
-    # and are rejected when built.
-    assert [str(s) for s in corpus(257, 257 ** 3)] == [
-        "cyclic(n=257)", "cyclic(n=66049)", "cyclic(n=16974593)",
-        "elementary-abelian(p=257, n=2)", "elementary-abelian(p=257, n=3)",
-        "direct-product(factors=[cyclic(n=66049), cyclic(n=257)])",
-        "extraspecial-exponent-p(p=257, l=1)"]
-    assert [str(s) for s in corpus(257, 10 ** 12)] == [
-        "cyclic(n=257)", "cyclic(n=66049)", "cyclic(n=16974593)",
-        "cyclic(n=4362470401)",
-        "elementary-abelian(p=257, n=2)", "elementary-abelian(p=257, n=3)",
-        "elementary-abelian(p=257, n=4)",
-        "direct-product(factors=[cyclic(n=66049), cyclic(n=257)])",
-        "extraspecial-exponent-p(p=257, l=1)",
-        "direct-product(factors=[extraspecial-exponent-p(p=257, l=1), "
-        "cyclic(n=257)])"]
+    # The smallest nonabelian member, ES(257, 1), does not validate, so
+    # the corpus is refused rather than listing specs that cannot build.
+    for max_order in (257 ** 3, 10 ** 12):
+        with pytest.raises(InvalidParameterError, match="p <= 255, got 257"):
+            corpus(257, max_order)
+
+
+def _primes_up_to(n):
+    return [q for q in range(2, n + 1)
+            if all(q % d for d in range(2, int(q ** 0.5) + 1))]
+
+
+@pytest.mark.parametrize("p", _primes_up_to(251))
+def test_every_corpus_spec_validates(p):
+    for spec in corpus(p, 2 ** 200):
+        validate_spec(spec)
+        assert predicted_order(spec) <= 2 ** 200
 
 
 def test_corpus_orders_within_bound():

@@ -362,6 +362,29 @@ def test_load_group_unsniffable(tmp_path):
         load_group(path)
 
 
+_HEAD = ": first line must be the order, one positive integer"
+_UNSNIFFABLE = ": cannot identify the format; "
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("g.cayley", "# only a comment\n", ": file has no content"),
+    ("g.cayley", "2 2\n0 1\n1 0\n", ":1" + _HEAD),
+    ("g.cayley", "# order\n0\n", ":2" + _HEAD),
+    ("g.perm", "3\n", ": no generator lines after the degree"),
+    ("g.txt", "", ": file has no content"),
+    ("g.txt", "2 2\n0 1\n", _UNSNIFFABLE + "the first line should be a "
+     "single integer (order or degree) or a JSON object"),
+    ("g.txt", "3\n0 1\n", _UNSNIFFABLE + "rows match neither an order-3 "
+     "table nor degree-3 permutations"),
+], ids=["comment-only", "two-int-head", "zero-head", "perm-no-rows",
+        "empty-sniffed", "sniffed-two-int-head", "sniffed-short-row"])
+def test_load_group_rejects_malformed_heads_and_bodies(tmp_path, name, text,
+                                                       message):
+    path = _write(tmp_path, name, text)
+    with pytest.raises(FormatError, match=f"^{re.escape(path + message)}$"):
+        load_group(path)
+
+
 @pytest.mark.parametrize("name,data", [
     ("g.cayley", b"2\n0 1\n1 \xff\n"),
     ("g.spec", b'{"kind": "cyclic", "n": 3, "\xff": 1}'),

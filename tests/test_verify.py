@@ -207,6 +207,41 @@ def test_theorem_b_square_clauses_cover(wreath81):
     assert verify_theorem_b(wreath81, 3).consistent
 
 
+_CLAUSE_I = "eta=1 forces [a,G]=[a^2,G], a normal subgroup"
+_CLAUSE_II = "eta=1, or eta=2 with all classes of size 3"
+
+
+@pytest.mark.parametrize("target,fake,eta_seen,expected", [
+    ("eta_one_criterion", lambda g, a, b: False, 1, _CLAUSE_I),
+    ("class_product", lambda x, y: SimpleNamespace(eta=3, classes=()),
+     3, _CLAUSE_II),
+    ("class_product", lambda x, y: SimpleNamespace(
+        eta=2, classes=(SimpleNamespace(size=1), SimpleNamespace(size=3))),
+     2, _CLAUSE_II),
+], ids=["criterion-false", "eta-3", "eta-2-with-a-central-class"])
+def test_theorem_b_reports_each_broken_clause(
+        target, fake, eta_seen, expected, heisenberg27, tmp_path,
+        monkeypatch, capsys):
+    # Each of the 8 size-3 classes of ES(3,1) is its own square's only
+    # pair, so a rule that fails everywhere gives one violation per class.
+    reps = sorted(c.representative.hex()
+                  for c in class_partition(heisenberg27).classes_of_size(3))
+    assert len(reps) == 8
+    monkeypatch.setattr(verify_mod, target, fake)
+    report = verify_theorem_b(heisenberg27, 3)
+    assert [v.to_record() for v in report.violations] == [
+        {"a": a, "b": a, "eta": eta_seen, "expected": expected}
+        for a in reps]
+    path = tmp_path / "es31.spec"
+    path.write_text(ConstructionSpec(kind="extraspecial-exponent-p", p=3,
+                                     l=1).to_json())
+    assert main(["verify", "--theorem", "b", "--group", str(path),
+                 "--p", "3"]) == 2
+    out = capsys.readouterr().out
+    assert json.loads(out)["violations"] == [
+        v.to_record() for v in report.violations]
+
+
 def test_theorem_checks_reject_non_p_group(affine162):
     with pytest.raises(NotAPGroupError):
         verify_theorem_a(affine162, 3)
