@@ -33,7 +33,6 @@ from .verify import (
     TheoremReport,
     eta_spectrum,
     merge_spectrum_reports,
-    parse_report_record,
     reproduce_examples,
     verify_corpus,
     verify_group,
@@ -70,11 +69,14 @@ def _add_cap_flag(sp) -> None:
                          "raising it can cost a lot of memory")
 
 
-def _add_jobs_flags(sp) -> None:
+def _add_jobs_flag(sp) -> None:
     sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes forked to run the groups or "
-                         "checks (default 1), at most one per group or "
-                         "check; more than 1 needs os.fork")
+                    help="worker processes forked to sweep the corpus "
+                         "groups (default 1), at most one per group; more "
+                         "than 1 needs os.fork")
+
+
+def _add_timings_flag(sp) -> None:
     sp.add_argument("--timings", action="store_true",
                     help="record real elapsed_ms (off by default so reports "
                          "are byte-reproducible)")
@@ -109,20 +111,22 @@ def build_parser() -> _Parser:
     sp.add_argument("--max-order", type=int)
     _add_cap_flag(sp)
     _add_output_flags(sp)
-    _add_jobs_flags(sp)
+    _add_jobs_flag(sp)
+    _add_timings_flag(sp)
 
     sp = sub.add_parser("reproduce", help="rerun the worked examples")
     sp.add_argument("--p", type=int, required=True)
     _add_cap_flag(sp)
     _add_output_flags(sp)
-    _add_jobs_flags(sp)
+    _add_timings_flag(sp)
 
     sp = sub.add_parser("spectrum", help="tally eta over the corpus")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--max-order", type=int, required=True)
     _add_cap_flag(sp)
     _add_output_flags(sp)
-    _add_jobs_flags(sp)
+    _add_jobs_flag(sp)
+    _add_timings_flag(sp)
 
     sp = sub.add_parser("inspect", help="basic facts about a group source")
     sp.add_argument("--group", required=True, metavar="PATH")
@@ -144,6 +148,10 @@ def parse_config(argv=None) -> argparse.Namespace:
             parser.error("--corpus needs --p and --max-order")
         if ns.group and ns.theorem in ("a", "b") and ns.p is None:
             parser.error(f"--theorem {ns.theorem} needs --p")
+        if ns.group and ns.max_order is not None:
+            parser.error("--max-order only applies to --corpus")
+        if ns.group and ns.jobs > 1:
+            parser.error("--jobs above 1 only applies to --corpus")
     if "jobs" in ns and ns.jobs < 1:
         parser.error("--jobs must be at least 1")
     if ns.cap < 1:
@@ -152,7 +160,7 @@ def parse_config(argv=None) -> argparse.Namespace:
 
 
 # ----------------------------------------------------------------------
-# subcommand implementations, each returning a list of records
+# subcommand implementations, each returning records or TheoremReports
 
 def _run_classes(ns: argparse.Namespace) -> list[dict]:
     g, desc = load_group(ns.group, ns.cap)
@@ -178,24 +186,19 @@ def _run_product(ns: argparse.Namespace) -> list[dict]:
     }]
 
 
-def _records(reports: list[TheoremReport], ns) -> list[dict]:
-    return [r.to_record(ns.timings) for r in reports]
-
-
-def _run_verify(ns: argparse.Namespace) -> list[dict]:
+def _run_verify(ns: argparse.Namespace) -> list[TheoremReport]:
     if ns.group:
         g, desc = load_group(ns.group, ns.cap)
-        return _records([verify_group(ns.theorem, g, ns.p, desc)], ns)
-    return _records(verify_corpus(ns.theorem, ns.p, ns.max_order, ns.cap,
-                                  ns.jobs), ns)
+        return [verify_group(ns.theorem, g, ns.p, desc)]
+    return verify_corpus(ns.theorem, ns.p, ns.max_order, ns.cap, ns.jobs)
 
 
-def _run_reproduce(ns: argparse.Namespace) -> list[dict]:
-    return _records(reproduce_examples(ns.p, ns.cap, ns.jobs), ns)
+def _run_reproduce(ns: argparse.Namespace) -> list[TheoremReport]:
+    return reproduce_examples(ns.p, ns.cap)
 
 
-def _run_spectrum(ns: argparse.Namespace) -> list[dict]:
-    return _records(eta_spectrum(ns.p, ns.max_order, ns.cap, ns.jobs), ns)
+def _run_spectrum(ns: argparse.Namespace) -> list[TheoremReport]:
+    return eta_spectrum(ns.p, ns.max_order, ns.cap, ns.jobs)
 
 
 def _run_inspect(ns: argparse.Namespace) -> list[dict]:
@@ -226,36 +229,36 @@ _RUNNERS = {
 # ----------------------------------------------------------------------
 # output
 
-def _jsonl(records: list[dict]) -> str:
+def _jsonl(results: list, ns: argparse.Namespace) -> str:
+    records = (r.to_record(ns.timings) if isinstance(r, TheoremReport) else r
+               for r in results)
     return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
                    for r in records)
 
 
-def _spectrum_csv(records: list[dict], ns: argparse.Namespace) -> str:
-    # csv flattens the merged corpus-level record, which comes last.  A
+def _spectrum_csv(reports: list[TheoremReport], ns: argparse.Namespace) -> str:
+    # csv flattens the merged corpus-level report, which comes last.  A
     # run stopped by a gap violation has none: merge the groups it swept.
-    merged = records[-1]
-    if merged["group"].get("kind") != "corpus":
-        merged = merge_spectrum_reports(
-            ns.p, ns.max_order, [parse_report_record(r) for r in records]
-        ).to_record()
+    merged = reports[-1]
+    if merged.group.get("kind") != "corpus":
+        merged = merge_spectrum_reports(ns.p, ns.max_order, reports)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["eta", "count", "witness_group", "witness_a",
                      "witness_b"])
-    for key in sorted(merged["spectrum"], key=int):
-        entry = merged["spectrum"][key]
+    for eta, entry in sorted(merged.spectrum.items()):
         writer.writerow([
-            key, entry["count"],
-            json.dumps(entry["witness"]["group"], sort_keys=True,
+            eta, entry.count,
+            json.dumps(entry.witness_group, sort_keys=True,
                        separators=(",", ":")),
-            entry["witness"]["a"], entry["witness"]["b"],
+            entry.witness_a, entry.witness_b,
         ])
     return buf.getvalue()
 
 
-def _write_records(records: list[dict], ns: argparse.Namespace) -> None:
-    text = (_spectrum_csv(records, ns) if ns.fmt == "csv" else _jsonl(records))
+def _write_records(results: list, ns: argparse.Namespace) -> None:
+    text = (_spectrum_csv(results, ns) if ns.fmt == "csv"
+            else _jsonl(results, ns))
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -276,15 +279,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         try:
-            records = _RUNNERS[ns.command](ns)
+            results = _RUNNERS[ns.command](ns)
         except TheoremViolationError as exc:
             _report_error(exc)
-            _write_records(list(exc.records), ns)
+            _write_records(exc.reports, ns)
             return EXIT_VIOLATION
-        _write_records(records, ns)
+        _write_records(results, ns)
     except (ClassprodError, OSError) as exc:
         _report_error(exc)
         return EXIT_USAGE
-    if any(rec.get("violations") for rec in records):
+    if any(isinstance(r, TheoremReport) and r.violations for r in results):
         return EXIT_VIOLATION
     return EXIT_OK

@@ -90,11 +90,11 @@ class UnknownGeneratorError(WordParseError):
 class TheoremViolationError(ClassprodError):
     """An exhaustive run contradicted a checked constraint.
 
-    ``records`` carries the report records that document the counterexample.
+    ``reports`` carries the TheoremReports that document the counterexample.
     """
 
     code = "theorem-violation"
 
-    def __init__(self, message: str, records: list | None = None):
+    def __init__(self, message: str, reports: list | None = None):
         super().__init__(message)
-        self.records = records if records is not None else []
+        self.reports = reports if reports is not None else []

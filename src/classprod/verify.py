@@ -294,8 +294,7 @@ def _work(worker: Callable[..., TheoremReport], args_list: list[tuple],
 def _sweep(theorem: str, p: int | None, desc: dict, g: GroupHandle,
            size: int, square: bool,
            rule: Callable[[ConjugacyClass, ConjugacyClass,
-                           ClassDecomposition], str | None],
-           t0: float) -> TheoremReport:
+                           ClassDecomposition], str | None]) -> TheoremReport:
     """The one class-pair loop every checker runs.
 
     Covers every ordered pair (x, y) of size-``size`` classes of ``g``
@@ -321,6 +320,7 @@ def _sweep(theorem: str, p: int | None, desc: dict, g: GroupHandle,
     multiplies one fixed representative of x by y, so a block costs one
     multiplication if [y,G] is central, else |y|.
     """
+    t0 = time.perf_counter()
     orbits = class_partition(g).center_orbits(size)
     counts: dict[int, int] = {}
     witnesses: dict[int, tuple[str, str]] = {}
@@ -362,14 +362,12 @@ def spectrum_for_group(g: GroupHandle, p: int,
     The group is a p-group, hence nilpotent, so any eta strictly between
     1 and (p+1)/2 is recorded as a violation (it would falsify the gap).
     """
-    t0 = time.perf_counter()
     _require_odd_prime(p, "the size-p pair sweep")
     _require_p_group(g, p)
     bound = (p + 1) // 2
     expected = f"eta=1 or eta>={bound}"
     return _sweep(SPECTRUM_LABEL, p, _descriptor(g, group_desc), g, p, True,
-                  lambda x, y, d: expected if 1 < d.eta < bound else None,
-                  t0)
+                  lambda x, y, d: expected if 1 < d.eta < bound else None)
 
 
 def verify_theorem_a(g: GroupHandle, p: int,
@@ -392,7 +390,6 @@ def verify_theorem_b(g: GroupHandle, p: int,
     ii: eta = (p+1)/2 with every class in the decomposition of size
     exactly p.  Anything else is a violation.
     """
-    t0 = time.perf_counter()
     _require_odd_prime(p, "the class-square check")
     _require_p_group(g, p)
     bound = (p + 1) // 2
@@ -407,19 +404,16 @@ def verify_theorem_b(g: GroupHandle, p: int,
             return f"eta=1, or eta={bound} with all classes of size {p}"
         return None
 
-    report = _sweep("B", p, _descriptor(g, group_desc), g, p, False, rule,
-                    t0)
+    report = _sweep("B", p, _descriptor(g, group_desc), g, p, False, rule)
     return replace(report, spectrum={})
 
 
 def verify_size_two(g: GroupHandle, p: int | None = None,
                     group_desc: dict | None = None) -> TheoremReport:
     """Sweep all ordered pairs of size-2 classes: eta must be 1 or 2."""
-    t0 = time.perf_counter()
     report = _sweep("Prop2.1", p, _descriptor(g, group_desc), g, 2, True,
                     lambda x, y, d: (None if d.eta in (1, 2)
-                                     else "eta in {1, 2}"),
-                    t0)
+                                     else "eta in {1, 2}"))
     return replace(report, spectrum={})
 
 
@@ -490,18 +484,19 @@ def run_reproduction_check(check: str, p: int,
                          _ms(t0))
 
 
-def reproduce_examples(p: int, order_cap: int = DEFAULT_ORDER_CAP,
-                       jobs: int = 1) -> list[TheoremReport]:
+def reproduce_examples(p: int, order_cap: int = DEFAULT_ORDER_CAP
+                       ) -> list[TheoremReport]:
     """Run every worked-example reproduction, in plan order.
 
     None of them enumerates its whole group, so the cap bounds the orbits
-    and class products they compute, not the group order.  ``p`` is
-    checked before any check runs.  ``jobs`` > 1 runs the checks in
-    that many worker processes; the reports do not depend on it.
+    and class products they compute, not the group order.  A bad ``p`` is
+    refused before any check does work.  The checks run in this process: the
+    extraspecial-base wreath square holds nearly all of the work (95% at
+    p = 7, 99.5% at p = 17), so workers could save only the other three
+    checks, which take less time than a fork.
     """
-    _require_odd_prime(p, "the example reproductions")
-    args = [(name, p, order_cap) for name in REPRODUCTION_CHECKS]
-    return list(_map_jobs(run_reproduction_check, args, jobs))
+    return [run_reproduction_check(name, p, order_cap)
+            for name in REPRODUCTION_CHECKS]
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +556,7 @@ def eta_spectrum(p: int, max_order: int, order_cap: int = DEFAULT_ORDER_CAP,
 
     If a group contradicts the gap (eta strictly between 1 and (p+1)/2),
     the scan stops at that group, kills the workers still sweeping later
-    groups, and raises with the records so far attached to the error.
+    groups, and raises with the reports so far attached to the error.
     ``jobs`` > 1 sweeps the groups in that many worker processes; the
     reports do not depend on it.
     """
@@ -577,7 +572,7 @@ def eta_spectrum(p: int, max_order: int, order_cap: int = DEFAULT_ORDER_CAP,
                     f"{json.dumps(report.group, sort_keys=True)} attains eta="
                     f"{report.violations[0].eta} with 1 < eta < "
                     f"{(p + 1) // 2}",
-                    records=[r.to_record() for r in kept])
+                    reports=kept)
     kept.append(merge_spectrum_reports(p, max_order, kept))
     return kept
 

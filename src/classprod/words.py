@@ -19,76 +19,53 @@ import re
 from .errors import UnknownGeneratorError, WordParseError
 from .groups import Element, GroupHandle
 
-_TOKEN = re.compile(r"(?P<name>e|g[0-9]+)|(?P<op>[*^])|(?P<int>-?[0-9]+)")
-
-
-def _tokenize(word: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(word):
-        if word[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(word, pos)
-        if m is None:
-            raise WordParseError(
-                f"unexpected character {word[pos]!r}", position=pos)
-        for kind in ("name", "op", "int"):
-            text = m.group(kind)
-            if text is not None:
-                tokens.append((kind, text, m.start(kind)))
-                break
-        pos = m.end()
-    return tokens
+# Every non-space character starts exactly one token; "bad" catches the
+# characters no grammar rule begins with.
+_TOKEN = re.compile(
+    r"(?P<name>e|g[0-9]+)|(?P<op>[*^])|(?P<int>-?[0-9]+)|(?P<bad>\S)")
 
 
 def parse_element_word(g: GroupHandle, word: str) -> Element:
     """Evaluate a generator word left-to-right under the group product."""
-    if not word or not word.strip():
+    if not word.strip():
         raise WordParseError("empty element word", position=0)
-    tokens = _tokenize(word)
+    # The whole word is scanned before any term is read, so a stray
+    # character is reported ahead of any grammar error before it.
+    tokens = []
+    for m in _TOKEN.finditer(word):
+        if m.lastgroup == "bad":
+            raise WordParseError(f"unexpected character {m.group()!r}",
+                                 position=m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
     gens = g.generators
+    end = ("end", "", len(word))
     acc = g._identity_raw
-
-    def base_of(text: str, at: int) -> bytes:
+    it = iter(tokens)
+    for kind, text, at in it:  # the first token of a term
+        if kind != "name":
+            raise WordParseError(
+                f"expected a generator name, found {text!r}", position=at)
         if text == "e":
-            return g._identity_raw
-        idx = int(text[1:])
-        if idx >= len(gens):
+            base = g.identity
+        elif (index := int(text[1:])) < len(gens):
+            base = gens[index]
+        else:
             raise UnknownGeneratorError(
                 f"generator {text!r} does not exist; this group has "
                 f"{len(gens)} generator(s) g0..g{len(gens) - 1}", position=at)
-        return gens[idx].encoding
-
-    i = 0
-    expect_term = True
-    while i < len(tokens):
-        kind, text, at = tokens[i]
-        if expect_term:
-            if kind != "name":
+        kind, text, at = next(it, end)
+        exponent = 1
+        if text == "^":
+            kind, text, at = next(it, ("end", "", at + 1))
+            if kind != "int":
                 raise WordParseError(
-                    f"expected a generator name, found {text!r}", position=at)
-            base = base_of(text, at)
-            exponent = 1
-            if i + 1 < len(tokens) and tokens[i + 1][0] == "op" \
-                    and tokens[i + 1][1] == "^":
-                if i + 2 >= len(tokens) or tokens[i + 2][0] != "int":
-                    bad_at = (tokens[i + 2][2] if i + 2 < len(tokens)
-                              else tokens[i + 1][2] + 1)
-                    raise WordParseError(
-                        "expected an integer exponent after '^'",
-                        position=bad_at)
-                exponent = int(tokens[i + 2][1])
-                i += 2
-            acc = g._mul(acc, g.power(Element(base), exponent).encoding)
-            expect_term = False
-        else:
-            if kind != "op" or text != "*":
-                raise WordParseError(
-                    f"expected '*' between terms, found {text!r}", position=at)
-            expect_term = True
-        i += 1
-    if expect_term:
-        raise WordParseError("word ends with a dangling '*'",
-                             position=len(word))
-    return Element(acc)
+                    "expected an integer exponent after '^'", position=at)
+            exponent = int(text)
+            kind, text, at = next(it, end)
+        acc = g._mul(acc, g.power(base, exponent).encoding)
+        if kind == "end":
+            return Element(acc)
+        if text != "*":
+            raise WordParseError(
+                f"expected '*' between terms, found {text!r}", position=at)
+    raise WordParseError("word ends with a dangling '*'", position=len(word))

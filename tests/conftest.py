@@ -77,7 +77,7 @@ def brute_eta(g, a: Element, b: Element) -> int:
     return count
 
 
-def pair_sweep(theorem, p, desc, g, size, square, rule, t0):
+def pair_sweep(theorem, p, desc, g, size, square, rule):
     """Per-pair reference for ``verify._sweep``, with the same signature.
 
     Decomposes every covered pair in scan order, one product each, with

@@ -292,8 +292,6 @@ def _run_to_file(tmp_path, name, args):
 
 
 DETERMINISM_COMMANDS = [
-    ("reproduce-p3", ["reproduce", "--p", "3"], 2),
-    ("reproduce-p5", ["reproduce", "--p", "5"], 0),
     ("verify-a-p3", ["verify", "--theorem", "a", "--corpus", "--p", "3",
                      "--max-order", "729"], 0),
     ("verify-b-p3", ["verify", "--theorem", "b", "--corpus", "--p", "3",

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import re
@@ -222,6 +223,28 @@ def test_spectrum_csv_after_a_gap_violation_tallies_every_swept_group(
     assert [row[0] for row in rows[1:]] == ["1", "2", "5"]
 
 
+@pytest.mark.parametrize("timings", [False, True])
+def test_spectrum_timings_survive_a_gap_violation(timings, capsys,
+                                                  monkeypatch):
+    # eta = 2 faked on the order-625 group stops the run there; the clock
+    # verify reads steps 1 s per call, so every group's sweep takes at
+    # least 1000 ms, which its record shows only under --timings.
+    real = verify_mod.class_product
+    monkeypatch.setattr(
+        verify_mod, "class_product",
+        lambda x, y: (SimpleNamespace(eta=2) if x.group.order == 625
+                      else real(x, y)))
+    ticks = itertools.count()
+    monkeypatch.setattr(verify_mod, "time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks)))
+    args = ["spectrum", "--p", "5", "--max-order", "625", "--jobs", "1"]
+    code, records, _ = run_cli(args + ["--timings"] * timings, capsys)
+    assert code == 2
+    assert records[-1]["violations"]
+    assert all(r["elapsed_ms"] >= 1000 if timings else r["elapsed_ms"] == 0
+               for r in records)
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 
@@ -239,6 +262,11 @@ def test_spectrum_csv_after_a_gap_violation_tallies_every_swept_group(
     ["verify", "--theorem", "a", "--group", "x.spec"],     # no p
     ["spectrum", "--p", "3", "--max-order", "27", "--jobs", "0"],
     ["classes", "--group", "x.spec", "--cap", "0"],
+    ["verify", "--theorem", "a", "--group", "x.spec", "--p", "3",
+     "--max-order", "5"],                                  # corpus only
+    ["verify", "--theorem", "a", "--group", "x.spec", "--p", "3",
+     "--jobs", "7"],                                       # corpus only
+    ["reproduce", "--p", "3", "--jobs", "2"],              # runs serially
 ])
 def test_usage_errors_exit_one(args, capsys):
     code = main(args)
@@ -320,11 +348,10 @@ def test_bad_input_is_one_error_record_not_a_traceback(make_args, code,
 
 
 def test_even_p_reproduce_is_input_error(capsys):
-    for jobs in ("1", "2"):
-        code = main(["reproduce", "--p", "2", "--jobs", jobs])
-        out = capsys.readouterr()
-        assert code == 1
-        assert "even-p" in out.err
+    code = main(["reproduce", "--p", "2"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert "even-p" in out.err
 
 
 @pytest.mark.parametrize("args", [

@@ -1,5 +1,8 @@
 """Generator-word parsing."""
 
+import itertools
+import re
+
 import pytest
 
 from classprod import (
@@ -81,3 +84,56 @@ def test_parse_error_carries_position(c5):
     with pytest.raises(WordParseError) as err:
         parse_element_word(c5, "g0*?")
     assert err.value.position == 3
+
+
+@pytest.mark.parametrize("word,outcome", [
+    ("", (WordParseError, "empty element word", 0)),
+    ("g0 *  ", (WordParseError, "word ends with a dangling '*'", 6)),
+    ("g0^   ", (WordParseError, "expected an integer exponent after '^'", 3)),
+    ("g0^^2", (WordParseError, "expected an integer exponent after '^'", 3)),
+    ("g0^-", (WordParseError, "unexpected character '-'", 3)),
+    ("g", (WordParseError, "unexpected character 'g'", 0)),
+    ("e5", (WordParseError, "expected '*' between terms, found '5'", 1)),
+    ("g0^2^3", (WordParseError, "expected '*' between terms, found '^'", 4)),
+    ("g2", (UnknownGeneratorError, "generator 'g2' does not exist; this "
+            "group has 2 generator(s) g0..g1", 0)),
+    # the whole word is scanned before any term is read
+    ("g0 g0 ?", (WordParseError, "unexpected character '?'", 6)),
+    ("g01*g1", "0000"),
+    ("\tg1 ^ -3 * e ^ 7 ", "0001"),
+])
+def test_word_edge_cases_are_pinned(dihedral8, word, outcome):
+    if isinstance(outcome, str):
+        assert parse_element_word(dihedral8, word).hex() == outcome
+        return
+    kind, message, position = outcome
+    with pytest.raises(WordParseError) as err:
+        parse_element_word(dihedral8, word)
+    assert type(err.value) is kind
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+_ALPHABET = ["e", "g", "0", "1", "2", "9", "*", "^", "-", "x", " ", "\t"]
+_TERM = r"\s*(e|g([0-9]+))(?:\s*\^\s*(-?[0-9]+))?\s*"
+_WORD = re.compile(rf"{_TERM}(?:\*{_TERM})*")
+
+
+def test_every_short_word_parses_exactly_when_it_fits_the_grammar(
+        dihedral8):
+    gens = dihedral8.generators
+    for word in ("".join(w) for n in range(5)
+                 for w in itertools.product(_ALPHABET, repeat=n)):
+        terms = list(re.finditer(_TERM, word))
+        if _WORD.fullmatch(word) is None or any(
+                m.group(2) and int(m.group(2)) >= len(gens) for m in terms):
+            with pytest.raises(WordParseError):
+                parse_element_word(dihedral8, word)
+            continue
+        expected = dihedral8.identity
+        for m in terms:
+            base = (dihedral8.identity if m.group(1) == "e"
+                    else gens[int(m.group(2))])
+            expected = dihedral8.multiply(
+                expected, dihedral8.power(base, int(m.group(3) or 1)))
+        assert parse_element_word(dihedral8, word) == expected, word
