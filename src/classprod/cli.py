@@ -148,6 +148,9 @@ def parse_config(argv=None) -> argparse.Namespace:
             parser.error("--corpus needs --p and --max-order")
         if ns.group and ns.theorem in ("a", "b") and ns.p is None:
             parser.error(f"--theorem {ns.theorem} needs --p")
+        if ns.theorem == "size2" and ns.p not in (None, 2):
+            parser.error("--theorem size2 only takes --p 2: a class of "
+                         "size 2 needs an even group order")
         if ns.group and ns.max_order is not None:
             parser.error("--max-order only applies to --corpus")
         if ns.group and ns.jobs > 1:

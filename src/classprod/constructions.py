@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     ForeignElementError,
@@ -63,6 +63,17 @@ class ConstructionSpec:
     base: "ConstructionSpec | None" = None
     factors: tuple["ConstructionSpec", ...] = ()
 
+    def __post_init__(self):
+        for name in ("p", "l", "n", "copies"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise InvalidParameterError(f"field {name!r} must be an integer")
+        if self.base is not None and not isinstance(self.base, ConstructionSpec):
+            raise InvalidParameterError("field 'base' must be a spec")
+        if not isinstance(self.factors, tuple) or not all(
+                isinstance(f, ConstructionSpec) for f in self.factors):
+            raise InvalidParameterError("field 'factors' must be a tuple of specs")
+
     def to_plain(self) -> dict:
         """JSON-ready dict with only the fields this kind uses."""
         out: dict = {"kind": self.kind}
@@ -86,13 +97,7 @@ class ConstructionSpec:
             raise InvalidParameterError(f"unknown spec fields: {', '.join(unknown)}")
         if "kind" not in obj:
             raise InvalidParameterError("spec is missing the 'kind' field")
-        kwargs: dict = {"kind": obj["kind"]}
-        for name in ("p", "l", "n", "copies"):
-            if name in obj:
-                value = obj[name]
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise InvalidParameterError(f"field {name!r} must be an integer")
-                kwargs[name] = value
+        kwargs: dict = {name: obj[name] for name in _FIELDS[:5] if name in obj}
         if "base" in obj:
             kwargs["base"] = ConstructionSpec.from_plain(obj["base"])
         if "factors" in obj:
@@ -127,12 +132,7 @@ class ConstructionSpec:
 
 
 # ----------------------------------------------------------------------
-# spec validation and order prediction
-
-def validate_spec(spec: ConstructionSpec) -> None:
-    """Raise unless ``spec`` is valid; the checks are :func:`predicted_order`'s."""
-    predicted_order(spec)
-
+# the one pass: check, size and pick the builder
 
 def _require_byte(value: int, name: str, why: str) -> None:
     if value > 255:
@@ -140,8 +140,8 @@ def _require_byte(value: int, name: str, why: str) -> None:
             f"{why}, so it needs {name} <= 255, got {value}")
 
 
-def predicted_order(spec: ConstructionSpec) -> int:
-    """Check a spec and return the order of its group, building nothing.
+def _plan(spec: ConstructionSpec) -> tuple[int, Callable[[int], GroupHandle]]:
+    """Check a spec; return its group's order and a builder taking the cap.
 
     This is the one pass over a spec: every field that is set must be
     one its kind reads, every value must satisfy its kind's rules
@@ -162,39 +162,45 @@ def predicted_order(spec: ConstructionSpec) -> int:
     if kind == "cyclic":
         if spec.n is None or spec.n < 1:
             raise InvalidParameterError("cyclic needs an order n >= 1")
-        return spec.n
+        return spec.n, lambda cap: CyclicGroup(spec.n, cap)
     if kind == "elementary-abelian":
         _require_prime(p, kind)
         if spec.n is None or spec.n < 1:
             raise InvalidParameterError("elementary-abelian needs a rank n >= 1")
-        return p ** spec.n
+        return p ** spec.n, lambda cap: DirectProductGroup(
+            [CyclicGroup(p, cap) for _ in range(spec.n)], cap)
     if kind == "dihedral":
         if spec.n is None or spec.n < 4 or spec.n % 2:
             raise InvalidParameterError(
                 f"dihedral needs an even order n >= 4, got {spec.n!r}")
-        return spec.n
+        return spec.n, lambda cap: DihedralGroup(spec.n, cap)
     if kind == "quaternion8":
-        return 8
+        return 8, _quaternion8
     if kind == "extraspecial-exponent-p":
         _require_odd_prime(p, kind)
         if spec.l is None or spec.l < 1:
             raise InvalidParameterError("extraspecial-exponent-p needs l >= 1")
         _require_byte(p, "p", f"{kind} stores residues mod p in one byte")
-        return p ** (2 * spec.l + 1)
+        return (p ** (2 * spec.l + 1),
+                lambda cap: ExtraspecialGroup(p, spec.l, cap))
     if kind == "direct-product":
         if not spec.factors:
             raise InvalidParameterError("direct-product needs at least one factor")
-        return math.prod(predicted_order(f) for f in spec.factors)
+        plans = [_plan(f) for f in spec.factors]
+        return math.prod(o for o, _ in plans), lambda cap: DirectProductGroup(
+            [make(cap) for _, make in plans], cap)
     if kind == "wreath-cyclic":
         _require_odd_prime(p, kind)
         _require_byte(p, "p", f"{kind} stores its shift mod p in one byte")
         if spec.base is None:
             raise InvalidParameterError("wreath-cyclic needs a base spec")
-        return predicted_order(spec.base) ** p * p
+        base_order, make_base = _plan(spec.base)
+        return base_order ** p * p, lambda cap: WreathCyclicGroup(
+            make_base(cap), p, cap)
     if kind == "affine-wreath":
         _require_prime(p, kind)
         _require_byte(p, "p", f"{kind} stores residues mod p in one byte")
-        return p ** p * p * (p - 1)
+        return p ** p * p * (p - 1), lambda cap: AffineWreathGroup(p, cap)
     # iterated-wreath-sylow, the last kind
     _require_prime(p, kind)
     if spec.copies is None or spec.copies < 1:
@@ -202,14 +208,20 @@ def predicted_order(spec: ConstructionSpec) -> int:
             "iterated-wreath-sylow needs copies >= 1 (wreath levels)")
     _require_byte(p ** spec.copies, "p^copies",
                   f"{kind} permutes p^copies points, one byte each")
-    return p ** ((p ** spec.copies - 1) // (p - 1))
+    return (p ** ((p ** spec.copies - 1) // (p - 1)),
+            lambda cap: _sylow_permutation(p, spec.copies, cap))
+
+
+def predicted_order(spec: ConstructionSpec) -> int:
+    """Check a spec and return the order of its group, building nothing."""
+    return _plan(spec)[0]
 
 
 # ----------------------------------------------------------------------
 # structured backends
 #
-# The constructors trust their parameters: :func:`build` checks a spec
-# once, through :func:`predicted_order`, before it calls any of them.
+# The constructors trust their parameters: only the builders that
+# :func:`_plan` returns for a checked spec call them.
 
 class CyclicGroup(GroupHandle):
     """Integers mod n, encoded as fixed-width big-endian residues."""
@@ -549,39 +561,14 @@ def _sylow_permutation(p: int, levels: int,
 def build(spec: ConstructionSpec,
           order_cap: int = DEFAULT_ORDER_CAP) -> GroupHandle:
     """Build the group a spec describes.  The spec is checked once, by
-    :func:`predicted_order`, and the result's order always equals it."""
-    want = predicted_order(spec)
-    g = _construct(spec, order_cap)
+    :func:`_plan`, and the result's order always equals the predicted one."""
+    want, make = _plan(spec)
+    g = make(order_cap)
     if g.order != want:
         raise InvalidParameterError(
             f"built order {g.order} does not match predicted order {want} "
             f"for {spec}")
     return g
-
-
-def _construct(spec: ConstructionSpec, order_cap: int) -> GroupHandle:
-    """The backend for a spec that :func:`predicted_order` accepted."""
-    kind = spec.kind
-    if kind == "cyclic":
-        return CyclicGroup(spec.n, order_cap)
-    if kind == "elementary-abelian":
-        return DirectProductGroup([CyclicGroup(spec.p, order_cap)
-                                   for _ in range(spec.n)], order_cap)
-    if kind == "dihedral":
-        return DihedralGroup(spec.n, order_cap)
-    if kind == "quaternion8":
-        return _quaternion8(order_cap)
-    if kind == "extraspecial-exponent-p":
-        return ExtraspecialGroup(spec.p, spec.l, order_cap)
-    if kind == "direct-product":
-        return DirectProductGroup([_construct(f, order_cap)
-                                   for f in spec.factors], order_cap)
-    if kind == "wreath-cyclic":
-        return WreathCyclicGroup(_construct(spec.base, order_cap), spec.p,
-                                 order_cap)
-    if kind == "affine-wreath":
-        return AffineWreathGroup(spec.p, order_cap)
-    return _sylow_permutation(spec.p, spec.copies, order_cap)
 
 
 def _least_noncentral(g: GroupHandle) -> bytes:
@@ -615,7 +602,7 @@ def distinguished_element(spec: ConstructionSpec, role: str,
     if role not in ROLES:
         raise UnsupportedRoleError(
             f"unknown role {role!r}; expected one of {', '.join(ROLES)}")
-    validate_spec(spec)
+    predicted_order(spec)
     kind = spec.kind
     if kind == "wreath-cyclic" and role in ("a-standard", "b-double"):
         base = build(spec.base, order_cap)

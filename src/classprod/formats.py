@@ -229,7 +229,12 @@ def load_group(path: str,
         kind = "spec"
     if kind == "spec":
         spec = _parse_spec(text, path)
-        return build(spec, order_cap), spec.to_plain()
+        try:
+            g = build(spec, order_cap)
+        except InvalidParameterError as exc:
+            # same class, so a code such as even-p survives the path prefix
+            raise type(exc)(f"{path}: {exc}") from exc
+        return g, spec.to_plain()
     lines = _content_lines(text)
     del text  # the table is built from ``lines``; free the file's text first
     if kind is None:

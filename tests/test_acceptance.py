@@ -12,6 +12,7 @@ p = 3 asserts the documented value eta = 2, while direct enumeration
 the README for the full decomposition.
 """
 
+import hashlib
 import itertools
 import time
 
@@ -312,3 +313,43 @@ def test_parallel_determinism(tmp_path, name, args, expected_code):
     c8, b8 = _run_to_file(tmp_path, "pool8.jsonl", args + ["--jobs", "8"])
     assert c1 == c8 == expected_code
     assert b1 == b8, f"{name}: files differ between --jobs 1 and --jobs 8"
+
+
+# ---------------------------------------------------------------------------
+# 10. report bytes: every corpus kind at p = 2, 3 and 5, plus affine-wreath
+
+
+REPORT_PINS = [
+    (["spectrum", "--p", "3", "--max-order", "729"], 0,
+     "3097aa175f51c37f697ecccef3972d97a88ac10ac2cf428e910dc8d0e76f71c5"),
+    (["spectrum", "--p", "5", "--max-order", "625"], 0,
+     "e0451535bd0f32ab84c0f04affe8e52c0432314a72305aeaf09df0def45431b7"),
+    (["verify", "--corpus", "--theorem", "a", "--p", "3", "--max-order",
+      "729"], 0,
+     "3a8cd00cef431b11b5e4683a49974a927220ed90339bbad27cf370dc55ec7c59"),
+    (["verify", "--corpus", "--theorem", "a", "--p", "5", "--max-order",
+      "625"], 0,
+     "8811b782c847daeb46a57bd373ea37e5cde98b0fcdc5ea50915bbdf0e05e34a1"),
+    (["verify", "--corpus", "--theorem", "b", "--p", "3", "--max-order",
+      "729"], 0,
+     "a3bdca244324ca3c9c66d25a5cfd162904e3a611bb9ce53489566a73457c3223"),
+    (["verify", "--corpus", "--theorem", "b", "--p", "5", "--max-order",
+      "625"], 0,
+     "2c86c83a34220b0b50d4c1c2666760b238f7c3b4ed0a96344b9bb415dee56e09"),
+    (["verify", "--corpus", "--theorem", "size2", "--p", "2", "--max-order",
+      "64"], 0,
+     "a5fc9b22d0f843570f076180009bf8e28ff8d2114f2bfd2a51eab075760c6504"),
+    (["reproduce", "--p", "3"], 2,
+     "f879a3ef5d75ce86e2249991ebb9c6fa34cc3f758df1877838973f564a07f256"),
+    (["reproduce", "--p", "5"], 0,
+     "c883dc7eda5bd19457b73bc181f44db7956e43de6c6a1bc442c1733e0ddca8f0"),
+]
+
+
+@pytest.mark.parametrize("args,expected_code,digest", REPORT_PINS,
+                         ids=[" ".join(a) for a, _, _ in REPORT_PINS])
+def test_report_bytes_are_pinned(args, expected_code, digest, capsys):
+    # A change that alters reports on purpose updates these digests.
+    assert main(args) == expected_code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

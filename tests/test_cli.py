@@ -267,6 +267,9 @@ def test_spectrum_timings_survive_a_gap_violation(timings, capsys,
     ["verify", "--theorem", "a", "--group", "x.spec", "--p", "3",
      "--jobs", "7"],                                       # corpus only
     ["reproduce", "--p", "3", "--jobs", "2"],              # runs serially
+    ["verify", "--theorem", "size2", "--group", "x.spec", "--p", "9"],
+    ["verify", "--theorem", "size2", "--corpus", "--p", "3",
+     "--max-order", "729"],                                # odd p: no size 2
 ])
 def test_usage_errors_exit_one(args, capsys):
     code = main(args)

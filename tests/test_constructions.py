@@ -17,7 +17,7 @@ from classprod import (
     predicted_order,
 )
 from classprod.classes import class_partition
-from classprod.constructions import KINDS, ROLES, validate_spec
+from classprod.constructions import KINDS, ROLES
 from classprod.groups import center
 
 from conftest import assert_group_laws, brute_center, sample_elements
@@ -38,7 +38,7 @@ def test_spec_json_round_trip():
 @pytest.mark.parametrize("p,max_order", [(2, 64), (3, 729), (5, 78125)])
 def test_spec_plain_round_trip_all_corpus_members(p, max_order):
     for spec in corpus(p, max_order):
-        validate_spec(spec)
+        predicted_order(spec)
         assert ConstructionSpec.from_plain(spec.to_plain()) == spec
 
 
@@ -47,6 +47,25 @@ def test_spec_rejects_unknown_fields(field):
     with pytest.raises(InvalidParameterError,
                        match=f"unknown spec fields: {field}"):
         ConstructionSpec.from_plain({"kind": "cyclic", "n": 3, field: "x"})
+
+
+@pytest.mark.parametrize("kwargs,field", [
+    ({"kind": "cyclic", "n": "5"}, "n"),
+    ({"kind": "elementary-abelian", "p": 3, "n": 2.0}, "n"),
+    ({"kind": "cyclic", "n": True}, "n"),
+    ({"kind": "extraspecial-exponent-p", "p": 3.0, "l": 1}, "p"),
+    ({"kind": "wreath-cyclic", "p": 3, "base": {"kind": "cyclic", "n": 3}},
+     "base"),
+    ({"kind": "direct-product", "factors": ({"kind": "cyclic", "n": 3},)},
+     "factors"),
+    ({"kind": "direct-product", "factors": [ConstructionSpec(kind="cyclic",
+                                                             n=3)]},
+     "factors"),                                   # a list is unhashable
+], ids=["str-n", "float-n", "bool-n", "float-p", "dict-base", "dict-factor",
+        "list-factors"])
+def test_spec_field_types_are_checked_when_the_spec_is_made(kwargs, field):
+    with pytest.raises(InvalidParameterError, match=f"field {field!r} must"):
+        ConstructionSpec(**kwargs)
 
 
 @pytest.mark.parametrize("plain,field", [
@@ -59,7 +78,7 @@ def test_spec_rejects_unknown_fields(field):
 ], ids=["cyclic-p", "quaternion8-n", "wreath-factors", "factor-l"])
 def test_spec_rejects_fields_its_kind_does_not_read(plain, field):
     spec = ConstructionSpec.from_plain(plain)
-    for check in (validate_spec, build, predicted_order,
+    for check in (build, predicted_order,
                   lambda s: distinguished_element(s, "a-standard")):
         with pytest.raises(InvalidParameterError, match=repr(field)):
             check(spec)
@@ -67,7 +86,7 @@ def test_spec_rejects_fields_its_kind_does_not_read(plain, field):
 
 def test_spec_rejects_unknown_kind():
     with pytest.raises(InvalidParameterError):
-        validate_spec(ConstructionSpec(kind="octonion"))
+        predicted_order(ConstructionSpec(kind="octonion"))
 
 
 @pytest.mark.parametrize("bad", [
@@ -89,14 +108,13 @@ def test_spec_rejects_unknown_kind():
     ConstructionSpec(kind="iterated-wreath-sylow", p=17, copies=2),
 ])
 def test_spec_validation_rejects(bad):
-    # a spec validates if and only if it builds: all three raise alike
+    # a spec validates if and only if it builds: both raise alike
     with pytest.raises(InvalidParameterError) as first:
-        validate_spec(bad)
-    for check in (predicted_order, build):
-        with pytest.raises(InvalidParameterError) as err:
-            check(bad)
-        assert type(err.value) is type(first.value)
-        assert str(err.value) == str(first.value)
+        predicted_order(bad)
+    with pytest.raises(InvalidParameterError) as err:
+        build(bad)
+    assert type(err.value) is type(first.value)
+    assert str(err.value) == str(first.value)
 
 
 @pytest.mark.parametrize("spec", [
@@ -107,7 +125,6 @@ def test_spec_validation_rejects(bad):
     ConstructionSpec(kind="iterated-wreath-sylow", p=2, copies=4),
 ], ids=str)
 def test_a_spec_at_the_one_byte_limit_validates_and_builds(spec):
-    validate_spec(spec)
     g = build(spec)
     assert g.order == predicted_order(spec)
     for x in g.generators:
@@ -116,7 +133,8 @@ def test_a_spec_at_the_one_byte_limit_validates_and_builds(spec):
 
 def test_even_prime_has_specific_error():
     with pytest.raises(EvenPrimeError):
-        validate_spec(ConstructionSpec(kind="extraspecial-exponent-p", p=2, l=1))
+        predicted_order(ConstructionSpec(kind="extraspecial-exponent-p", p=2,
+                                         l=1))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +360,6 @@ def _primes_up_to(n):
 @pytest.mark.parametrize("p", _primes_up_to(251))
 def test_every_corpus_spec_validates(p):
     for spec in corpus(p, 2 ** 200):
-        validate_spec(spec)
         assert predicted_order(spec) <= 2 ** 200
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import classprod.formats as formats_mod
 from classprod import (
     CayleyTableGroup,
+    ClassprodError,
     ConstructionSpec,
     FormatError,
     build,
@@ -290,6 +291,19 @@ def test_spec_file_rejects_unknown_field(tmp_path):
         load_construction_spec(path)
 
 
+@pytest.mark.parametrize("plain,code", [
+    ({"kind": "cyclic", "n": 0}, "invalid-parameter"),
+    ({"kind": "extraspecial-exponent-p", "p": 2, "l": 1}, "even-p"),
+    ({"kind": "cyclic", "n": 3, "p": 3}, "invalid-parameter"),
+], ids=["cyclic-n0", "extraspecial-p2", "cyclic-with-p"])
+def test_spec_file_that_cannot_build_names_the_file(tmp_path, plain, code):
+    path = _write(tmp_path, "g.spec", json.dumps(plain))
+    with pytest.raises(ClassprodError) as err:
+        load_group(path)
+    assert err.value.code == code
+    assert str(err.value).startswith(f"{path}: ")
+
+
 # ---------------------------------------------------------------------------
 # unified loader
 
@@ -376,8 +390,10 @@ _UNSNIFFABLE = ": cannot identify the format; "
      "single integer (order or degree) or a JSON object"),
     ("g.txt", "3\n0 1\n", _UNSNIFFABLE + "rows match neither an order-3 "
      "table nor degree-3 permutations"),
+    ("g.spec", '{"kind": "cyclic", "n": "x"}', ": field 'n' must be an integer"),
 ], ids=["comment-only", "two-int-head", "zero-head", "perm-no-rows",
-        "empty-sniffed", "sniffed-two-int-head", "sniffed-short-row"])
+        "empty-sniffed", "sniffed-two-int-head", "sniffed-short-row",
+        "spec-str-n"])
 def test_load_group_rejects_malformed_heads_and_bodies(tmp_path, name, text,
                                                        message):
     path = _write(tmp_path, name, text)
