@@ -308,6 +308,17 @@ def _covering(g: GroupHandle, classes: tuple[ConjugacyClass, ...]):
     return ClassDecomposition(g, classes), sum(c.size for c in classes)
 
 
+def _product_bound(g: GroupHandle, m: int, n: int) -> int:
+    """m*n, once a product of classes of sizes m and n is known to fit
+    the cap: it may hold min(m*n, |G|) elements."""
+    bound = min(m * n, g.order)
+    if bound > g.order_cap:
+        raise EnumerationCapError(
+            f"the product of classes of sizes {m} and {n} may hold {bound} "
+            f"elements, above the enumeration cap {g.order_cap}")
+    return m * n
+
+
 def class_product(x: ConjugacyClass, y: ConjugacyClass) -> ClassDecomposition:
     """Decompose the product set x * y into conjugacy classes.
 
@@ -330,13 +341,7 @@ def class_product(x: ConjugacyClass, y: ConjugacyClass) -> ClassDecomposition:
         raise GroupMismatchError(
             "cannot multiply conjugacy classes of different groups")
     g = x.group
-    pairs = len(x._raw) * len(y._raw)
-    bound = min(pairs, g.order)
-    if bound > g.order_cap:
-        raise EnumerationCapError(
-            f"the product of classes of sizes {len(x._raw)} and "
-            f"{len(y._raw)} may hold {bound} elements, above the "
-            f"enumeration cap {g.order_cap}")
+    pairs = _product_bound(g, len(x._raw), len(y._raw))
     mul = g._mul
     a = x._rep_raw
     part = g._partition
@@ -408,41 +413,28 @@ def as_subgroup(g: GroupHandle, members: Iterable[Element]) -> SubgroupView | No
     return SubgroupView(g, (Element(b) for b in raw))
 
 
-HYPOTHESIS_SAME_SIZES = "same-class-sizes"
-HYPOTHESIS_EQUAL_CENTRALIZERS = "equal-centralizers"
-
-
-def eta_one_criterion(g: GroupHandle, a: Element, b: Element,
-                      hypothesis: str = HYPOTHESIS_SAME_SIZES) -> bool:
+def eta_one_criterion(g: GroupHandle, a: Element, b: Element) -> bool:
     """Commutator-set test for a^G b^G collapsing to the single class (ab)^G.
 
     True iff [ab,G] = [a,G] = [b,G] as sets and that common set is a
-    normal subgroup.  Under either stated hypothesis this is equivalent
-    to eta(a^G b^G) = 1; the hypothesis is re-verified, not trusted:
-    ``same-class-sizes`` demands |a^G| = |b^G| = |(ab)^G|, and
-    ``equal-centralizers`` demands C_G(a) = C_G(b).
+    normal subgroup.  This is equivalent to eta(a^G b^G) = 1 when
+    |a^G| = |b^G| = |(ab)^G| or when C_G(a) = C_G(b); both hypotheses
+    are checked here, the centralizers only when the sizes differ, and
+    the call raises when neither holds.
     """
     g._check(a.encoding)
     g._check(b.encoding)
-    if hypothesis not in (HYPOTHESIS_SAME_SIZES, HYPOTHESIS_EQUAL_CENTRALIZERS):
-        raise InvalidParameterError(
-            f"unknown hypothesis {hypothesis!r}; expected "
-            f"{HYPOTHESIS_SAME_SIZES!r} or {HYPOTHESIS_EQUAL_CENTRALIZERS!r}")
-    if (hypothesis == HYPOTHESIS_EQUAL_CENTRALIZERS
-            and centralizer(g, a) != centralizer(g, b)):
-        raise PreconditionViolatedError(
-            f"hypothesis {hypothesis!r} fails: the centralizers of a and "
-            "b differ")
     ab = Element(g._mul(a.encoding, b.encoding))
     # |[x,G]| = |x^G|, so the commutator sets give the class sizes too;
     # each distinct one is built once.
     sets = {x: commutator_set(g, x).elements for x in {a, b, ab}}
     ka, kb, kab = sets[a], sets[b], sets[ab]
-    if (hypothesis == HYPOTHESIS_SAME_SIZES
-            and not len(ka) == len(kb) == len(kab)):
+    if (not len(ka) == len(kb) == len(kab)
+            and centralizer(g, a) != centralizer(g, b)):
         raise PreconditionViolatedError(
-            f"hypothesis {hypothesis!r} fails: |a^G|={len(ka)}, "
-            f"|b^G|={len(kb)}, |(ab)^G|={len(kab)}")
+            f"neither hypothesis holds: |a^G|={len(ka)}, |b^G|={len(kb)}, "
+            f"|(ab)^G|={len(kab)} differ and the centralizers of a and b "
+            "differ")
     if not ka == kb == kab:
         return False
     view = as_subgroup(g, kab)
@@ -476,16 +468,18 @@ def check_product_identity(g: GroupHandle, a: Element, b: Element) -> bool:
 
     The identity holds in every finite group; it is exposed as a
     cross-check because a wrong multiplication convention in a backend
-    breaks it immediately.
+    breaks it immediately.  Like ``class_product``, it raises the cap
+    error before it builds either side if the product may exceed the cap.
     """
     g._check(a.encoding)
     g._check(b.encoding)
     mul = g._mul
     ab = mul(a.encoding, b.encoding)
     a_conj_b = g._conj(a.encoding, b.encoding)
-    left = {mul(u, v)
-            for u in _orbit_raw(g, a.encoding)
-            for v in _orbit_raw(g, b.encoding)}
+    xa, xb = _orbit_raw(g, a.encoding), _orbit_raw(g, b.encoding)
+    # |[a^b,G]| = |a^G| and |[b,G]| = |b^G|, so one bound covers both sides
+    _product_bound(g, len(xa), len(xb))
+    left = {mul(u, v) for u in xa for v in xb}
     ka = commutator_set(g, Element(a_conj_b)).elements
     kb = commutator_set(g, b).elements
     right = {mul(ab, mul(u.encoding, v.encoding)) for u in ka for v in kb}

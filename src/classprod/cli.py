@@ -57,9 +57,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_output_flags(sp) -> None:
     sp.add_argument("--out", metavar="PATH",
                     help="write records here instead of stdout")
-    sp.add_argument("--format", dest="fmt", choices=("jsonl", "csv"),
-                    default="jsonl",
-                    help="jsonl (default); csv only for spectrum tallies")
 
 
 def _add_cap_flag(sp) -> None:
@@ -125,6 +122,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--max-order", type=int, required=True)
     _add_cap_flag(sp)
     _add_output_flags(sp)
+    sp.add_argument("--format", dest="fmt", choices=("jsonl", "csv"),
+                    default="jsonl", help="jsonl (default) or csv")
     _add_jobs_flag(sp)
     _add_timings_flag(sp)
 
@@ -139,8 +138,6 @@ def parse_config(argv=None) -> argparse.Namespace:
     """Parse and cross-check one invocation; usage errors exit with 1."""
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.fmt == "csv" and ns.command != "spectrum":
-        parser.error("--format csv is only available for spectrum tallies")
     if ns.command == "verify":
         if bool(ns.group) == bool(ns.use_corpus):
             parser.error("verify needs exactly one of --group or --corpus")
@@ -260,7 +257,7 @@ def _spectrum_csv(reports: list[TheoremReport], ns: argparse.Namespace) -> str:
 
 
 def _write_records(results: list, ns: argparse.Namespace) -> None:
-    text = (_spectrum_csv(results, ns) if ns.fmt == "csv"
+    text = (_spectrum_csv(results, ns) if getattr(ns, "fmt", None) == "csv"
             else _jsonl(results, ns))
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as fh:

@@ -538,7 +538,7 @@ def _quaternion8(order_cap: int) -> CayleyTableGroup:
     elems = units + [tuple(-v for v in u) for u in units]
     index = {u: i for i, u in enumerate(elems)}
     table = [[index[qmul(a, b)] for b in elems] for a in elems]
-    return CayleyTableGroup(table, generators=[1, 2], order_cap=order_cap)
+    return CayleyTableGroup(table, order_cap=order_cap)
 
 
 def _sylow_permutation(p: int, levels: int,

@@ -218,7 +218,7 @@ def _permuter(row: tuple[int, ...]):
     return itemgetter(*row) if len(row) > 1 else lambda r: (r[0],)
 
 
-def _walk_table(n: int, read, same, generators) -> tuple[list, list[int]]:
+def _walk_table(n: int, read, same) -> tuple[list, list[int]]:
     """Validate a Cayley table in one breadth-first walk from 0.
 
     ``read(i)`` gives the given row i in full and ``same(i, row)`` says
@@ -234,7 +234,6 @@ def _walk_table(n: int, read, same, generators) -> tuple[list, list[int]]:
         raise InvalidParameterError(
             "row 0 must be the identity row (element 0 is the identity)")
     order = [0]
-    gens: list[int] = []
     steps = []
 
     def checked(i: int) -> tuple[int, ...]:
@@ -250,13 +249,6 @@ def _walk_table(n: int, read, same, generators) -> tuple[list, list[int]]:
                 f"column 0 must fix every element, but {i}*0 = {row[0]}")
         return tuple(map(ints.__getitem__, row))
 
-    def add(g: int) -> None:
-        if rows[g] is None:
-            rows[g] = checked(g)
-            order.append(g)
-        gens.append(g)
-        steps.append((g, _permuter(rows[g])))
-
     def visit(x: int, g: int, take) -> None:
         cand = take(rows[x])
         z = rows[x][g]
@@ -270,11 +262,6 @@ def _walk_table(n: int, read, same, generators) -> tuple[list, list[int]]:
             raise InvalidParameterError(
                 f"table is not associative at ({x},{g},{y})")
 
-    if generators is not None:
-        for g in map(int, generators):
-            if not 0 <= g < n:
-                raise InvalidParameterError(f"generator index {g} out of range")
-            add(g)
     done = 0
     least = 1
     while True:
@@ -284,12 +271,12 @@ def _walk_table(n: int, read, same, generators) -> tuple[list, list[int]]:
             done += 1
         if len(order) == n:
             # the order-1 table stalls on no index; 0 generates it
-            return rows, gens if gens or generators is not None else [0]
-        if generators is not None:
-            raise InvalidParameterError("given generators do not generate")
+            return rows, [g for g, _ in steps] or [0]
         while rows[least] is not None:
             least += 1
-        add(least)
+        rows[least] = checked(least)
+        order.append(least)
+        steps.append((least, _permuter(rows[least])))
         for x in order[:done]:
             visit(x, *steps[-1])
 
@@ -301,8 +288,7 @@ class CayleyTableGroup(GroupHandle):
     0 must be the identity.  ``table`` is any sequence of n rows, and
     one breadth-first walk from 0 (:func:`_walk_table`) validates it.
     The walk reads row 0 and each generator row in full; where it stalls,
-    the least unreached index becomes the next generator, unless
-    ``generators`` are given, which must reach every element.  For each
+    the least unreached index becomes the next generator.  For each
     reached x and generator g it derives ``cand``, row x permuted by
     row g, and compares it with the row of x*g: the given row where x*g
     is first reached, the stored row after.  A given row is compared
@@ -327,7 +313,6 @@ class CayleyTableGroup(GroupHandle):
     backend = "cayley-table"
 
     def __init__(self, table: Sequence[Sequence[int]],
-                 generators: Sequence[int] | None = None,
                  order_cap: int = DEFAULT_ORDER_CAP):
         n = len(table)
         if n < 1:
@@ -336,7 +321,7 @@ class CayleyTableGroup(GroupHandle):
         if same is None:
             def same(i, row):
                 return tuple(table[i]) == row
-        rows, gen_idx = _walk_table(n, table.__getitem__, same, generators)
+        rows, gen_idx = _walk_table(n, table.__getitem__, same)
         invtab = [0] * n
         for i in range(n):
             j = rows[i].index(0)
@@ -524,9 +509,8 @@ class QuotientGroup(CayleyTableGroup):
     """
 
     def __init__(self, parent: GroupHandle, subgroup: SubgroupView,
-                 table, generators, coset_reps: Sequence[bytes],
-                 coset_of: dict[bytes, int]):
-        super().__init__(table, generators=generators, order_cap=parent.order_cap)
+                 table, coset_reps: Sequence[bytes], coset_of: dict[bytes, int]):
+        super().__init__(table, order_cap=parent.order_cap)
         self.parent = parent
         self.subgroup = subgroup
         self._coset_reps = tuple(coset_reps)
@@ -570,11 +554,4 @@ def quotient_group(g: GroupHandle, n: SubgroupView) -> QuotientGroup:
     reps = [reps[old] for old in order_map]
     coset_of_elem = {x: new_index[i] for x, i in coset_of_elem.items()}
     table = [[coset_of_elem[g._mul(a, b)] for b in reps] for a in reps]
-    gen_idx = []
-    for x in g._generators_raw:
-        i = coset_of_elem[x]
-        if i != 0 and i not in gen_idx:
-            gen_idx.append(i)
-    if not gen_idx:
-        gen_idx = [0]
-    return QuotientGroup(g, n, table, gen_idx, reps, coset_of_elem)
+    return QuotientGroup(g, n, table, reps, coset_of_elem)

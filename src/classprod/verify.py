@@ -320,6 +320,9 @@ def _sweep(theorem: str, p: int | None, desc: dict, g: GroupHandle,
     multiplies one fixed representative of x by y, so a block costs one
     multiplication if [y,G] is central, else |y|.
     """
+    if g.order % size:
+        raise InvalidParameterError(
+            f"group order {g.order} rules out a class of size {size}")
     t0 = time.perf_counter()
     orbits = class_partition(g).center_orbits(size)
     counts: dict[int, int] = {}
@@ -503,16 +506,20 @@ def reproduce_examples(p: int, order_cap: int = DEFAULT_ORDER_CAP
 # corpus sweeps and the eta spectrum
 
 _CHECKERS = {"a": verify_theorem_a, "b": verify_theorem_b,
-             "size2": verify_size_two}
+             "size2": verify_size_two, "spectrum": spectrum_for_group}
+
+
+def _checker(theorem: str) -> Callable[..., TheoremReport]:
+    if theorem not in _CHECKERS:
+        raise InvalidParameterError(f"unknown theorem selector {theorem!r}; "
+                                    "expected a, b, size2 or spectrum")
+    return _CHECKERS[theorem]
 
 
 def verify_group(theorem: str, g: GroupHandle, p: int | None,
                  group_desc: dict | None = None) -> TheoremReport:
-    """Run the checker named by a selector (a, b or size2) over one group."""
-    if theorem not in _CHECKERS:
-        raise InvalidParameterError(
-            f"unknown theorem selector {theorem!r}; expected a, b or size2")
-    return _CHECKERS[theorem](g, p, group_desc)
+    """Run the checker a selector (a, b, size2 or spectrum) names."""
+    return _checker(theorem)(g, p, group_desc)
 
 
 def corpus_theorem_report(theorem: str, spec: ConstructionSpec, p: int,
@@ -521,10 +528,14 @@ def corpus_theorem_report(theorem: str, spec: ConstructionSpec, p: int,
     return verify_group(theorem, build(spec, order_cap), p, spec.to_plain())
 
 
-def spectrum_corpus_report(spec: ConstructionSpec, p: int,
-                           order_cap: int = DEFAULT_ORDER_CAP) -> TheoremReport:
-    """Build one corpus group and tally its spectrum."""
-    return spectrum_for_group(build(spec, order_cap), p, spec.to_plain())
+def _corpus_tasks(theorem: str, p: int, max_order: int,
+                  order_cap: int) -> list[tuple]:
+    """``corpus_theorem_report``'s arguments for each corpus group; a bad
+    selector, or a p a size-p sweep refuses, is refused before any fork."""
+    _checker(theorem)
+    if theorem != "size2":
+        _require_odd_prime(p, f"the {theorem!r} corpus sweep")
+    return [(theorem, spec, p, order_cap) for spec in corpus(p, max_order)]
 
 
 def merge_spectrum_reports(p: int, max_order: int,
@@ -560,10 +571,9 @@ def eta_spectrum(p: int, max_order: int, order_cap: int = DEFAULT_ORDER_CAP,
     ``jobs`` > 1 sweeps the groups in that many worker processes; the
     reports do not depend on it.
     """
-    _require_odd_prime(p, "the spectrum sweep")
-    args = [(spec, p, order_cap) for spec in corpus(p, max_order)]
+    args = _corpus_tasks("spectrum", p, max_order, order_cap)
     kept = []
-    with closing(_map_jobs(spectrum_corpus_report, args, jobs)) as reports:
+    with closing(_map_jobs(corpus_theorem_report, args, jobs)) as reports:
         for report in reports:
             kept.append(report)
             if report.violations:
@@ -585,5 +595,5 @@ def verify_corpus(theorem: str, p: int, max_order: int,
     ``jobs`` > 1 checks the groups in that many worker processes; the
     reports do not depend on it.
     """
-    args = [(theorem, spec, p, order_cap) for spec in corpus(p, max_order)]
+    args = _corpus_tasks(theorem, p, max_order, order_cap)
     return list(_map_jobs(corpus_theorem_report, args, jobs))

@@ -30,8 +30,6 @@ from classprod import (
     quadratic_image_size,
 )
 from classprod.classes import (
-    HYPOTHESIS_EQUAL_CENTRALIZERS,
-    HYPOTHESIS_SAME_SIZES,
     ConjugacyClass,
     _central_commutators,
     _decompose_raw,
@@ -220,6 +218,8 @@ def test_class_product_past_the_cap_raises():
     assert x.size == 49
     with pytest.raises(EnumerationCapError):
         class_product(x, x)
+    with pytest.raises(EnumerationCapError, match="may hold 2401 elements"):
+        check_product_identity(g, g.generators[0], g.generators[0])
 
 
 def test_orbit_and_product_fit_the_default_cap():
@@ -228,6 +228,7 @@ def test_orbit_and_product_fit_the_default_cap():
     assert x.size == 49
     d = class_product(x, x)
     assert sum(d.sizes()) <= 49 * 49
+    assert check_product_identity(g, g.generators[0], g.generators[0])
 
 
 # Every corpus group to 729 at p = 3 and to 625 at p = 5.
@@ -475,8 +476,7 @@ def test_eta_one_criterion_positive(heisenberg27):
     # squaring a noncentral element: all three classes have size 3 and
     # the commutator sets coincide with the center, so eta = 1
     a = heisenberg27.generators[0]
-    assert eta_one_criterion(heisenberg27, a, a,
-                             hypothesis=HYPOTHESIS_SAME_SIZES)
+    assert eta_one_criterion(heisenberg27, a, a)
     assert eta(heisenberg27, a, a) == 1
 
 
@@ -485,8 +485,7 @@ def test_eta_one_criterion_negative(wreath81):
                             base=ConstructionSpec(kind="cyclic", n=3))
     from classprod import distinguished_element
     a = distinguished_element(spec, "a-standard")
-    assert not eta_one_criterion(wreath81, a, a,
-                                 hypothesis=HYPOTHESIS_SAME_SIZES)
+    assert not eta_one_criterion(wreath81, a, a)
     assert eta(wreath81, a, a) == 2
 
 
@@ -503,8 +502,7 @@ def test_eta_one_criterion_agrees_with_eta(heisenberg27):
             if not (ka == kb == kab):
                 continue
             checked += 1
-            verdict = eta_one_criterion(heisenberg27, a, b,
-                                        hypothesis=HYPOTHESIS_SAME_SIZES)
+            verdict = eta_one_criterion(heisenberg27, a, b)
             assert verdict == (eta(heisenberg27, a, b) == 1)
     assert checked > 0
 
@@ -513,26 +511,22 @@ def test_eta_one_criterion_centralizer_hypothesis(heisenberg27):
     a = heisenberg27.generators[0]
     b = heisenberg27.multiply(a, a)
     assert centralizer(heisenberg27, a) == centralizer(heisenberg27, b)
-    verdict = eta_one_criterion(heisenberg27, a, b,
-                                hypothesis=HYPOTHESIS_EQUAL_CENTRALIZERS)
+    verdict = eta_one_criterion(heisenberg27, a, b)
     assert verdict == (eta(heisenberg27, a, b) == 1)
 
 
 def test_eta_one_criterion_checks_hypothesis(dihedral8):
     rot = dihedral8.generators[0]
     flip = dihedral8.generators[1]
-    # |rot^G| = 2 but |flip^G| = 2 and |(rot*flip)^G| = 2; sizes match,
-    # so break the centralizer hypothesis instead
-    assert centralizer(dihedral8, rot) != centralizer(dihedral8, flip)
+    # |rot^G| = 2 but the identity's class has size 1, and the
+    # centralizers differ too: neither hypothesis holds
     with pytest.raises(PreconditionViolatedError):
-        eta_one_criterion(dihedral8, rot, flip,
-                          hypothesis=HYPOTHESIS_EQUAL_CENTRALIZERS)
-
-
-def test_eta_one_criterion_rejects_unknown_hypothesis(dihedral8):
-    with pytest.raises(InvalidParameterError, match="unknown hypothesis"):
-        eta_one_criterion(dihedral8, dihedral8.identity, dihedral8.identity,
-                          hypothesis="whatever")
+        eta_one_criterion(dihedral8, rot, dihedral8.identity)
+    # the centralizers of rot and flip differ, but the three class sizes
+    # are all 2, so the criterion applies
+    assert centralizer(dihedral8, rot) != centralizer(dihedral8, flip)
+    assert eta_one_criterion(dihedral8, rot, flip)
+    assert eta(dihedral8, rot, flip) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,17 @@ def test_verify_single_group_theorem_b(capsys, tmp_path):
     assert records[0]["violations"] == []
 
 
+def test_verify_abelian_group_whose_order_allows_the_size(capsys, tmp_path):
+    # C9 has no class of size 3, but its order rules none out: a real zero
+    spec = tmp_path / "c9.spec"
+    spec.write_text(ConstructionSpec(kind="cyclic", n=9).to_json())
+    code, records, _ = run_cli(
+        ["verify", "--theorem", "a", "--group", str(spec), "--p", "3"],
+        capsys)
+    assert code == 0
+    assert records[0]["pairs_checked"] == 0
+
+
 def test_verify_corpus_exit_zero(capsys):
     code, records, _ = run_cli(
         ["verify", "--theorem", "a", "--corpus", "--p", "3",
@@ -333,14 +344,29 @@ def _non_utf8_table(tmp_path):
     return ["inspect", "--group", str(path)]
 
 
+def _verify_group(theorem, spec, *extra):
+    def make_args(tmp_path):
+        path = tmp_path / "group.spec"
+        path.write_text(spec.to_json())
+        return ["verify", "--theorem", theorem, "--group", str(path), *extra]
+    return make_args
+
+
 @pytest.mark.parametrize("make_args,code", [
     (lambda _: ["reproduce", "--p", "257"], "invalid-parameter"),
     (_wreath257_spec, "invalid-parameter"),
     (_non_utf8_table, "bad-file-format"),
     (lambda _: ["spectrum", "--p", "257", "--max-order", "16974593"],
      "invalid-parameter"),
+    # the group's order rules out every class of the swept size
+    (_verify_group("size2", ConstructionSpec(
+        kind="extraspecial-exponent-p", p=3, l=1)), "invalid-parameter"),
+    (_verify_group("a", ConstructionSpec(kind="cyclic", n=1), "--p", "3"),
+     "invalid-parameter"),
+    (_verify_group("b", ConstructionSpec(kind="cyclic", n=1), "--p", "3"),
+     "invalid-parameter"),
 ], ids=["reproduce-p257", "product-wreath257", "inspect-non-utf8",
-        "spectrum-p257"])
+        "spectrum-p257", "size2-order27", "a-trivial", "b-trivial"])
 def test_bad_input_is_one_error_record_not_a_traceback(make_args, code,
                                                       tmp_path, capsys):
     assert main(make_args(tmp_path)) == 1

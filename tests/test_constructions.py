@@ -201,6 +201,8 @@ def test_quaternion8_distinct_from_dihedral8(quaternion8, dihedral8):
                    if x != g.identity and g.multiply(x, x) == g.identity)
     assert involutions(quaternion8) == 1
     assert involutions(dihedral8) == 5
+    # the greedy table walk picks i and j as generators
+    assert [quaternion8.index_of(x) for x in quaternion8.generators] == [1, 2]
 
 
 def test_heisenberg_center_and_classes(heisenberg27):

@@ -254,6 +254,12 @@ def test_theorem_checks_reject_even_p(dihedral8):
         verify_theorem_a(dihedral8, 2)
 
 
+def test_size_two_rejects_an_odd_order(heisenberg27):
+    with pytest.raises(InvalidParameterError,
+                       match="order 27 rules out a class of size 2"):
+        verify_size_two(heisenberg27)
+
+
 def test_size_two_clean_on_two_groups(dihedral8, quaternion8):
     for g in (dihedral8, quaternion8):
         report = verify_size_two(g)
@@ -323,6 +329,20 @@ def test_reproduce_rejects_even_p(monkeypatch):
     monkeypatch.setattr(verify_mod.os, "fork", no_fork)
     with pytest.raises(EvenPrimeError):
         reproduce_examples(2)
+
+
+def test_corpus_sweeps_refuse_bad_input_before_forking(monkeypatch):
+    def no_fork():
+        raise AssertionError("a worker process was forked")
+
+    monkeypatch.setattr(verify_mod.os, "fork", no_fork)
+    for theorem in ("a", "b"):
+        with pytest.raises(EvenPrimeError):
+            verify_corpus(theorem, 2, 64, jobs=2)
+    with pytest.raises(EvenPrimeError):
+        eta_spectrum(2, 64, jobs=2)
+    with pytest.raises(InvalidParameterError, match="unknown theorem"):
+        verify_corpus("c", 3, 27, jobs=2)
 
 
 def test_single_check_wreath_square():
@@ -403,7 +423,7 @@ def test_spectrum_witnesses_are_recomputable(wreath81):
 def test_spectrum_merge_is_additive():
     specs = [s for s in __import__("classprod").corpus(3, 243)]
     reports = [
-        __import__("classprod").verify.spectrum_corpus_report(s, 3, 200_000)
+        corpus_theorem_report("spectrum", s, 3, 200_000)
         for s in specs]
     whole = merge_spectrum_reports(3, 243, reports)
     split = merge_spectrum_reports(
