@@ -7,7 +7,8 @@ canonical representatives by byte order, independent of the backend.
 Every breadth-first closure (conjugation orbits, generated subgroups,
 permutation groups) runs through :func:`_reach`, which also holds the
 one enumeration-cap check for all of them.  The Cayley-table walk
-checks every edge it takes, so it has its own (:func:`_walk_table`).
+derives each row where it first reaches it and then checks generator
+rows against generator columns, so it has its own (:func:`_walk_table`).
 
 Handles are immutable after construction and safe to share; the only
 mutation is idempotent caching (the sorted element list and the class
@@ -222,9 +223,13 @@ def _walk_table(n: int, read, same) -> tuple[list, list[int]]:
     """Validate a Cayley table in one breadth-first walk from 0.
 
     ``read(i)`` gives the given row i in full and ``same(i, row)`` says
-    whether it equals ``row``; :class:`CayleyTableGroup` says which rows
-    are read and why the walk is exact.  Returns the rows, which share
-    one set of n ints, and the generator indices.
+    whether it equals ``row``.  Only tree edges (x, g), where z = x*g is
+    first reached, do work: row z is derived as row x permuted by row g
+    and compared with the given row z.  After the walk, every generator
+    row g must commute with every generator column h: g*(x*h) = (g*x)*h
+    for all x.  :class:`CayleyTableGroup` says which rows are read and
+    why the walk is exact.  Returns the rows, which share one set of n
+    ints, and the generator indices.
     """
     ints = list(range(n))
     everything = set(ints)
@@ -250,28 +255,22 @@ def _walk_table(n: int, read, same) -> tuple[list, list[int]]:
         return tuple(map(ints.__getitem__, row))
 
     def visit(x: int, g: int, take) -> None:
-        cand = take(rows[x])
         z = rows[x][g]
-        known = rows[z]
-        if known is None:
-            known = cand if same(z, cand) else checked(z)
-            rows[z] = cand
-            order.append(z)
-        if known is not cand and known != cand:
-            y = next(y for y in ints if known[y] != cand[y])
-            raise InvalidParameterError(
-                f"table is not associative at ({x},{g},{y})")
+        if rows[z] is not None:
+            return
+        cand = take(rows[x])
+        rows[z] = cand
+        order.append(z)
+        if not same(z, cand):
+            known = checked(z)
+            if known != cand:
+                y = next(y for y in ints if known[y] != cand[y])
+                raise InvalidParameterError(
+                    f"table is not associative at ({x},{g},{y})")
 
     done = 0
     least = 1
-    while True:
-        while done < len(order):
-            for g, take in steps:
-                visit(order[done], g, take)
-            done += 1
-        if len(order) == n:
-            # the order-1 table stalls on no index; 0 generates it
-            return rows, [g for g, _ in steps] or [0]
+    while len(order) < n:
         while rows[least] is not None:
             least += 1
         rows[least] = checked(least)
@@ -279,6 +278,22 @@ def _walk_table(n: int, read, same) -> tuple[list, list[int]]:
         steps.append((least, _permuter(rows[least])))
         for x in order[:done]:
             visit(x, *steps[-1])
+        while done < len(order):
+            for g, take in steps:
+                visit(order[done], g, take)
+            done += 1
+    # the order-1 table stalls on no index; 0 generates it
+    gens = [g for g, _ in steps] or [0]
+    for h in gens:
+        col = list(map(itemgetter(h), rows))
+        for g in gens:
+            row = rows[g]
+            g_xh = list(map(row.__getitem__, col))
+            if g_xh != list(map(col.__getitem__, row)):
+                x = next(x for x in ints if g_xh[x] != col[row[x]])
+                raise InvalidParameterError(
+                    f"table is not associative at ({g},{x},{h})")
+    return rows, gens
 
 
 class CayleyTableGroup(GroupHandle):
@@ -288,24 +303,30 @@ class CayleyTableGroup(GroupHandle):
     0 must be the identity.  ``table`` is any sequence of n rows, and
     one breadth-first walk from 0 (:func:`_walk_table`) validates it.
     The walk reads row 0 and each generator row in full; where it stalls,
-    the least unreached index becomes the next generator.  For each
-    reached x and generator g it derives ``cand``, row x permuted by
-    row g, and compares it with the row of x*g: the given row where x*g
-    is first reached, the stored row after.  A given row is compared
-    through ``table.row_equals(i, cand)`` where the table has one (the
-    file loader compares text) and as a tuple otherwise.  The walk is
-    exact:
+    the least unreached index becomes the next generator.  Where it
+    first reaches z = x*g, it derives ``cand``, row x permuted by row g,
+    and compares the given row z with it: through
+    ``table.row_equals(z, cand)`` where the table has one (the file
+    loader compares text) and as a tuple otherwise.  A text match is
+    exact, and a row that does not match is read and checked in full.
+    A row read in full is range-, length- and bijection-checked and must
+    fix column 0; a derived row permutes a bijection by a bijection, so
+    it is one, and it fixes column 0 by construction.
 
-    - it checks (x*g)*y = x*(g*y) for every x, every generator g and all
-      y, which is Light's test: the g that pass are closed under
-      products, so they pass only if the table is associative (Clifford
-      & Preston, *The Algebraic Theory of Semigroups*, Vol. I, 1961);
-    - every given row must equal its derived row, so a text match is
-      exact, and a row that does not match is read and checked in full;
-    - a row read in full is range-, length- and bijection-checked and
-      must fix column 0;
-    - a derived row permutes a bijection by a bijection, so it is one,
-      and it fixes column 0 by construction.
+    Then, as in Light's test (Clifford & Preston, *The Algebraic Theory
+    of Semigroups*, Vol. I, 1961), left translations L_g (row g) are
+    checked against right translations R_h (column h), but only for
+    generators g and h: L_g R_h = R_h L_g.  The walk is exact:
+
+    1. every row equals its derivation, so each row z lies in the group
+       P generated by the L_g and sends 0 to z: P is transitive;
+    2. the generator columns reach every element from 0, since the
+       walk's edges are theirs (a stall generator s is R_s(0) = s);
+    3. each L_g commutes with each R_h, so a p in P that fixes 0 fixes
+       every word in the R_h applied to 0, which is every point; so P
+       is regular (Dixon & Mortimer, *Permutation Groups*, 1996, §4.2);
+    4. in a regular P, row(x*y) and row(x) after row(y) both send 0 to
+       x*y, so they are equal, which is associativity.
 
     Two-sided inverses are then checked over all rows.
     """

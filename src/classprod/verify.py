@@ -531,10 +531,14 @@ def corpus_theorem_report(theorem: str, spec: ConstructionSpec, p: int,
 def _corpus_tasks(theorem: str, p: int, max_order: int,
                   order_cap: int) -> list[tuple]:
     """``corpus_theorem_report``'s arguments for each corpus group; a bad
-    selector, or a p a size-p sweep refuses, is refused before any fork."""
+    selector, or a p its sweep refuses, is refused before any fork."""
     _checker(theorem)
     if theorem != "size2":
         _require_odd_prime(p, f"the {theorem!r} corpus sweep")
+    elif p != 2:
+        raise InvalidParameterError(
+            f"the 'size2' corpus sweep needs p = 2, got {p}: a class of "
+            "size 2 needs an even group order")
     return [(theorem, spec, p, order_cap) for spec in corpus(p, max_order)]
 
 

@@ -1,11 +1,11 @@
 """Group backends: arithmetic, validation, subgroups, quotients."""
 
-from collections import Counter
+import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import classprod.groups as groups_mod
 from classprod import (
     CayleyTableGroup,
     ConstructionSpec,
@@ -49,6 +49,53 @@ NONASSOCIATIVE_5 = [
 ]
 
 
+# An order-6 loop whose every row equals the row the walk derives for
+# it, with two-sided inverses: only the check of generator rows against
+# generator columns can reject it.
+LOOP_6 = [
+    (0, 1, 2, 3, 4, 5),
+    (1, 5, 4, 2, 3, 0),
+    (2, 3, 1, 0, 5, 4),
+    (3, 4, 0, 5, 1, 2),
+    (4, 2, 5, 1, 0, 3),
+    (5, 0, 3, 4, 2, 1),
+]
+
+
+def _times_z2(q):
+    """The table of Z_2 x q, with (i, a) -> 2a + i."""
+    m = 2 * len(q)
+    return [[2 * q[a // 2][b // 2] + (a + b) % 2 for b in range(m)]
+            for a in range(m)]
+
+
+def _is_associative(t) -> bool:
+    n = range(len(t))
+    return all(t[t[a][b]][c] == t[a][t[b][c]] for a in n for b in n for c in n)
+
+
+class _ComparedRows(list):
+    """Table rows that record which rows the walk compares."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.compared = []
+
+    def row_equals(self, i, row):
+        self.compared.append(i)
+        return tuple(self[i]) == row
+
+
+def _rejected_triple(table) -> tuple[int, int, int]:
+    """The triple a rejection names, after checking that it really fails."""
+    with pytest.raises(InvalidParameterError, match="not associative") as err:
+        CayleyTableGroup(table)
+    a, b, c = map(int, re.search(r"at \((\d+),(\d+),(\d+)\)",
+                                 str(err.value)).groups())
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+    return a, b, c
+
+
 def test_cayley_rejects_nonassociative_latin_square():
     with pytest.raises(InvalidParameterError):
         CayleyTableGroup(NONASSOCIATIVE_5)
@@ -63,14 +110,61 @@ def test_cayley_reports_the_first_nonassociative_triple():
 
 
 def test_cayley_checks_associativity_at_every_generator():
-    # Z_2 x the loop above, (i, q) -> 2q + i: the first greedy generator
-    # (1, 0) lies in the Z_2 factor and passes Light's test; the failure
-    # shows only at a later generator.
-    q = NONASSOCIATIVE_5
-    table = [[2 * q[a // 2][b // 2] + (a + b) % 2 for b in range(10)]
-             for a in range(10)]
-    with pytest.raises(InvalidParameterError, match=r"at \(2,2,4\)"):
-        CayleyTableGroup(table)
+    # Z_2 x the loop above: the first greedy generator (1, 0) lies in the
+    # Z_2 factor; the failure shows only at the third generator, 4.
+    assert _rejected_triple(_times_z2(NONASSOCIATIVE_5)) == (2, 4, 4)
+
+
+def test_cayley_rejects_a_loop_whose_rows_all_derive():
+    assert all(LOOP_6[row.index(0)][i] == 0 for i, row in enumerate(LOOP_6))
+    assert _rejected_triple(LOOP_6) == (2, 2, 1)
+
+
+def test_cayley_checks_commutation_at_the_last_generator():
+    # the walk reaches every row and compares all but the greedy
+    # generators 1, 2 and 4; the failure needs the pairs with 4
+    table = _ComparedRows(_times_z2(LOOP_6))
+    _rejected_triple(table)
+    assert set(range(1, 12)) - set(table.compared) == {1, 2, 4}
+
+
+def _reduced_latin_squares(n):
+    """Every n x n Latin square whose row 0 and column 0 are 0..n-1."""
+    rows = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
+    in_row = [{i} for i in range(n)]
+    in_col = [{j} for j in range(n)]
+    cells = list(product(range(1, n), repeat=2))
+
+    def fill(k):
+        if k == len(cells):
+            yield [tuple(row) for row in rows]
+            return
+        i, j = cells[k]
+        for v in range(n):
+            if v not in in_row[i] and v not in in_col[j]:
+                rows[i][j] = v
+                in_row[i].add(v)
+                in_col[j].add(v)
+                yield from fill(k + 1)
+                in_row[i].discard(v)
+                in_col[j].discard(v)
+    return fill(0)
+
+
+@pytest.mark.parametrize("n, squares, groups", [
+    (1, 1, 1), (2, 1, 1), (3, 1, 1), (4, 4, 4), (5, 56, 6), (6, 9408, 80),
+])
+def test_cayley_accepts_exactly_the_associative_latin_squares(
+        n, squares, groups):
+    seen = accepted = 0
+    for t in _reduced_latin_squares(n):
+        seen += 1
+        if _is_associative(t):
+            assert CayleyTableGroup(t).order == n
+            accepted += 1
+        else:
+            _rejected_triple(t)
+    assert (seen, accepted) == (squares, groups)
 
 
 def _cyclic_table(n):
@@ -106,27 +200,13 @@ def test_cayley_rejects_every_transposition_mutant_row():
         assert bad[bad[x][g]][y] != bad[x][bad[g][y]]
 
 
-def test_cayley_walk_permutes_every_row_by_every_generator(monkeypatch):
-    # Light's test needs (x*g)*y = x*(g*y) for every x and generator g,
-    # so each generator's row must permute each of the n rows once, also
-    # the rows reached before the walk stalled and took that generator
-    calls = Counter()
-    real = groups_mod._permuter
-
-    def counting(row):
-        take = real(row)
-
-        def counted(r):
-            calls[row[0]] += 1
-            return take(r)
-        return counted
-
-    monkeypatch.setattr(groups_mod, "_permuter", counting)
-    g = CayleyTableGroup(relabelled_table(build(ConstructionSpec(
+def test_cayley_walk_compares_each_non_generator_row_once():
+    table = _ComparedRows(relabelled_table(build(ConstructionSpec(
         kind="elementary-abelian", p=3, n=3)), seed=9))
+    g = CayleyTableGroup(table)
     gens = [g.index_of(x) for x in g.generators]
     assert len(gens) == 3
-    assert calls == {x: 27 for x in gens}
+    assert sorted(table.compared) == sorted(set(range(1, 27)) - set(gens))
 
 
 def test_cayley_rejects_a_duplicate_in_a_derived_row():

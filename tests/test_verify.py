@@ -343,6 +343,8 @@ def test_corpus_sweeps_refuse_bad_input_before_forking(monkeypatch):
         eta_spectrum(2, 64, jobs=2)
     with pytest.raises(InvalidParameterError, match="unknown theorem"):
         verify_corpus("c", 3, 27, jobs=2)
+    with pytest.raises(InvalidParameterError, match="needs p = 2"):
+        verify_corpus("size2", 3, 27, jobs=2)
 
 
 def test_single_check_wreath_square():
