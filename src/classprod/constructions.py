@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -114,7 +115,7 @@ class ConstructionSpec:
     def from_json(text: str) -> "ConstructionSpec":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise InvalidParameterError(f"spec is not valid JSON: {exc}") from exc
         return ConstructionSpec.from_plain(obj)
 
@@ -140,6 +141,20 @@ def _require_byte(value: int, name: str, why: str) -> None:
             f"{why}, so it needs {name} <= 255, got {value}")
 
 
+def _order(kind: str, *powers: tuple[int, int]) -> int:
+    """The product of ``base ** exp`` over ``powers``, refused before any
+    power is taken if it has more digits than Python prints as text (the
+    sum of logs caps each ``exp``, so it never forms a large number)."""
+    digits = (sys.get_int_max_str_digits()  # 0 lifts the limit
+              or sys.int_info.default_max_str_digits)
+    size = sum(min(exp, digits / math.log10(base)) * math.log10(base)
+               for base, exp in powers if base > 1)
+    if size >= digits:
+        raise InvalidParameterError(
+            f"{kind}: the group order would have more than {digits} digits")
+    return math.prod(base ** exp for base, exp in powers)
+
+
 def _plan(spec: ConstructionSpec) -> tuple[int, Callable[[int], GroupHandle]]:
     """Check a spec; return its group's order and a builder taking the cap.
 
@@ -162,18 +177,18 @@ def _plan(spec: ConstructionSpec) -> tuple[int, Callable[[int], GroupHandle]]:
     if kind == "cyclic":
         if spec.n is None or spec.n < 1:
             raise InvalidParameterError("cyclic needs an order n >= 1")
-        return spec.n, lambda cap: CyclicGroup(spec.n, cap)
+        return _order(kind, (spec.n, 1)), lambda cap: CyclicGroup(spec.n, cap)
     if kind == "elementary-abelian":
         _require_prime(p, kind)
         if spec.n is None or spec.n < 1:
             raise InvalidParameterError("elementary-abelian needs a rank n >= 1")
-        return p ** spec.n, lambda cap: DirectProductGroup(
+        return _order(kind, (p, spec.n)), lambda cap: DirectProductGroup(
             [CyclicGroup(p, cap) for _ in range(spec.n)], cap)
     if kind == "dihedral":
         if spec.n is None or spec.n < 4 or spec.n % 2:
             raise InvalidParameterError(
                 f"dihedral needs an even order n >= 4, got {spec.n!r}")
-        return spec.n, lambda cap: DihedralGroup(spec.n, cap)
+        return _order(kind, (spec.n, 1)), lambda cap: DihedralGroup(spec.n, cap)
     if kind == "quaternion8":
         return 8, _quaternion8
     if kind == "extraspecial-exponent-p":
@@ -181,22 +196,23 @@ def _plan(spec: ConstructionSpec) -> tuple[int, Callable[[int], GroupHandle]]:
         if spec.l is None or spec.l < 1:
             raise InvalidParameterError("extraspecial-exponent-p needs l >= 1")
         _require_byte(p, "p", f"{kind} stores residues mod p in one byte")
-        return (p ** (2 * spec.l + 1),
+        return (_order(kind, (p, 2 * spec.l + 1)),
                 lambda cap: ExtraspecialGroup(p, spec.l, cap))
     if kind == "direct-product":
         if not spec.factors:
             raise InvalidParameterError("direct-product needs at least one factor")
         plans = [_plan(f) for f in spec.factors]
-        return math.prod(o for o, _ in plans), lambda cap: DirectProductGroup(
-            [make(cap) for _, make in plans], cap)
+        return (_order(kind, *((o, 1) for o, _ in plans)),
+                lambda cap: DirectProductGroup(
+                    [make(cap) for _, make in plans], cap))
     if kind == "wreath-cyclic":
         _require_odd_prime(p, kind)
         _require_byte(p, "p", f"{kind} stores its shift mod p in one byte")
         if spec.base is None:
             raise InvalidParameterError("wreath-cyclic needs a base spec")
         base_order, make_base = _plan(spec.base)
-        return base_order ** p * p, lambda cap: WreathCyclicGroup(
-            make_base(cap), p, cap)
+        return (_order(kind, (base_order, p), (p, 1)),
+                lambda cap: WreathCyclicGroup(make_base(cap), p, cap))
     if kind == "affine-wreath":
         _require_prime(p, kind)
         _require_byte(p, "p", f"{kind} stores residues mod p in one byte")
@@ -206,7 +222,7 @@ def _plan(spec: ConstructionSpec) -> tuple[int, Callable[[int], GroupHandle]]:
     if spec.copies is None or spec.copies < 1:
         raise InvalidParameterError(
             "iterated-wreath-sylow needs copies >= 1 (wreath levels)")
-    _require_byte(p ** spec.copies, "p^copies",
+    _require_byte(_order(kind, (p, spec.copies)), "p^copies",
                   f"{kind} permutes p^copies points, one byte each")
     return (p ** ((p ** spec.copies - 1) // (p - 1)),
             lambda cap: _sylow_permutation(p, spec.copies, cap))
@@ -275,12 +291,9 @@ class DirectProductGroup(GroupHandle):
                                 in zip(self.factor_groups, self._slices))
         order = math.prod(f.order for f in factors)
         ident = b"".join(f._identity_raw for f in factors)
-        gens = []
-        for i, f in enumerate(factors):
-            for g in f._generators_raw:
-                parts = [fac._identity_raw for fac in factors]
-                parts[i] = g
-                gens.append(b"".join(parts))
+        gens = [ident[:a] + g + ident[b:] for f, (a, b)
+                in zip(self.factor_groups, self._slices)
+                for g in f._generators_raw]
         super().__init__(order, ident, gens, order_cap)
 
     def _mul(self, x: bytes, y: bytes) -> bytes:

@@ -1,6 +1,4 @@
-"""Readers and writers for on-disk group sources.
-
-Three source formats are supported:
+"""Group source files: :func:`load_group` is the one loader for all three.
 
 - construction spec: a JSON object with a ``kind`` field (see
   :mod:`classprod.constructions`); conventional extensions ``.spec`` and
@@ -21,7 +19,6 @@ applies, the offending line.
 
 from __future__ import annotations
 
-import json
 import os
 from operator import itemgetter
 
@@ -81,13 +78,6 @@ def _head_value(lines: list[tuple[int, str]], path: str, what: str) -> int:
     return values[0]
 
 
-def load_cayley_table(path: str,
-                      order_cap: int = DEFAULT_ORDER_CAP) -> CayleyTableGroup:
-    """Load and validate a multiplication-table file."""
-    return _parse_cayley_table(_content_lines(_read_text(path)), path,
-                               order_cap)
-
-
 class _TableText:
     """The body rows of a table file, each parsed only when it is read.
 
@@ -145,13 +135,6 @@ def _parse_cayley_table(lines: list[tuple[int, str]], path: str,
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def load_permutation_group(path: str,
-                           order_cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
-    """Load generator permutations given as image vectors."""
-    return _parse_permutations(_content_lines(_read_text(path)), path,
-                               order_cap)
-
-
 def _parse_permutations(lines: list[tuple[int, str]], path: str,
                         order_cap: int) -> PermutationGroup:
     degree = _head_value(lines, path, "degree")
@@ -170,17 +153,6 @@ def _parse_permutations(lines: list[tuple[int, str]], path: str,
                 f"0..{degree - 1}")
     try:
         return PermutationGroup([row for _, row in body], order_cap=order_cap)
-    except InvalidParameterError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-
-
-def load_construction_spec(path: str) -> ConstructionSpec:
-    return _parse_spec(_read_text(path), path)
-
-
-def _parse_spec(text: str, path: str) -> ConstructionSpec:
-    try:
-        return ConstructionSpec.from_json(text)
     except InvalidParameterError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -228,7 +200,10 @@ def load_group(path: str,
     if kind is None and text.lstrip().startswith("{"):
         kind = "spec"
     if kind == "spec":
-        spec = _parse_spec(text, path)
+        try:
+            spec = ConstructionSpec.from_json(text)
+        except InvalidParameterError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
         try:
             g = build(spec, order_cap)
         except InvalidParameterError as exc:
@@ -260,8 +235,3 @@ def cayley_table_text(g: GroupHandle) -> str:
     for x in ordered:
         lines.append(" ".join(str(index[g._mul(x, y)]) for y in ordered))
     return "\n".join(lines) + "\n"
-
-
-def dump_cayley_table(g: GroupHandle, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(cayley_table_text(g))

@@ -210,15 +210,6 @@ class GroupHandle(ABC):
         return f"<{type(self).__name__} backend={self.backend} order={self.order}>"
 
 
-def _permuter(row: tuple[int, ...]):
-    """The map taking row x to row x permuted by ``row``.
-
-    ``itemgetter`` of one index returns a scalar, not a tuple, so the
-    order-1 row gets its own.
-    """
-    return itemgetter(*row) if len(row) > 1 else lambda r: (r[0],)
-
-
 def _walk_table(n: int, read, same) -> tuple[list, list[int]]:
     """Validate a Cayley table in one breadth-first walk from 0.
 
@@ -275,7 +266,8 @@ def _walk_table(n: int, read, same) -> tuple[list, list[int]]:
             least += 1
         rows[least] = checked(least)
         order.append(least)
-        steps.append((least, _permuter(rows[least])))
+        # a stall needs an unreached index, so n >= 2 and this yields tuples
+        steps.append((least, itemgetter(*rows[least])))
         for x in order[:done]:
             visit(x, *steps[-1])
         while done < len(order):
@@ -328,7 +320,8 @@ class CayleyTableGroup(GroupHandle):
     4. in a regular P, row(x*y) and row(x) after row(y) both send 0 to
        x*y, so they are equal, which is associativity.
 
-    Two-sided inverses are then checked over all rows.
+    So x*j = 0 makes j a two-sided inverse, read off row x unchecked: with
+    j*k = 0, k = (x*j)*k = x*(j*k) = x.
     """
 
     backend = "cayley-table"
@@ -343,17 +336,9 @@ class CayleyTableGroup(GroupHandle):
             def same(i, row):
                 return tuple(table[i]) == row
         rows, gen_idx = _walk_table(n, table.__getitem__, same)
-        invtab = [0] * n
-        for i in range(n):
-            j = rows[i].index(0)
-            if rows[j][i] != 0:
-                raise InvalidParameterError(
-                    f"element {i} has no two-sided inverse "
-                    f"({i}*{j} = 0 but {j}*{i} = {rows[j][i]})")
-            invtab[i] = j
-
+        # x*j = 0 and j*k = 0 give k = (x*j)*k = x*(j*k) = x, so j*x = 0
+        invtab = [row.index(0) for row in rows]
         width = int_byte_width(n - 1)
-        self._width = width
         self._enc = [i.to_bytes(width, "big") for i in range(n)]
         self._dec = {b: i for i, b in enumerate(self._enc)}
         self._table = rows

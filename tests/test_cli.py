@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -370,6 +371,45 @@ def _verify_group(theorem, spec, *extra):
 def test_bad_input_is_one_error_record_not_a_traceback(make_args, code,
                                                       tmp_path, capsys):
     assert main(make_args(tmp_path)) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1
+    assert json.loads(out.err)["error"] == code
+
+
+_BIG_P = "1000000000000000000000000000057"  # a prime above 2^64
+
+
+def _inspect_spec(text):
+    def make_args(tmp_path):
+        path = tmp_path / "group.spec"
+        path.write_text(text)
+        return ["inspect", "--group", str(path)]
+    return make_args
+
+
+@pytest.mark.parametrize("make_args,code", [
+    # JSON integers above 4300 digits, and orders above 4300 digits
+    (_inspect_spec('{"kind":"cyclic","n":1' + "0" * 5000 + "}"),
+     "bad-file-format"),
+    (_inspect_spec('{"kind":"elementary-abelian","p":3,"n":20000}'),
+     "invalid-parameter"),
+    (_inspect_spec('{"kind":"elementary-abelian","p":3,"n":10000000}'),
+     "invalid-parameter"),
+    # primes above 2^64
+    (lambda _: ["spectrum", "--p", _BIG_P, "--max-order", "10"],
+     "invalid-prime"),
+    (lambda _: ["reproduce", "--p", _BIG_P], "invalid-prime"),
+    (_inspect_spec('{"kind":"elementary-abelian","p":%s,"n":2}' % _BIG_P),
+     "invalid-prime"),
+], ids=["json-5001-digits", "ea-3-20000", "ea-3-10e7", "spectrum-big-p",
+        "reproduce-big-p", "ea-big-p"])
+def test_large_number_input_is_one_quick_error_record(make_args, code,
+                                                     tmp_path, capsys):
+    args = make_args(tmp_path)
+    start = time.perf_counter()
+    assert main(args) == 1
+    assert time.perf_counter() - start < 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -19,6 +20,8 @@ from classprod import (
 from classprod.classes import class_partition
 from classprod.constructions import KINDS, ROLES
 from classprod.groups import center
+from classprod.util import is_prime
+from classprod.verify import reproduction_plan
 
 from conftest import assert_group_laws, brute_center, sample_elements
 
@@ -131,6 +134,24 @@ def test_a_spec_at_the_one_byte_limit_validates_and_builds(spec):
         assert g.multiply(x, g.inverse(x)) == g.identity
 
 
+def test_a_spec_is_refused_exactly_when_its_order_is_too_long_to_print():
+    # 2^14284 has 4300 digits, the default limit, and 2^14285 has 4301
+    assert sys.get_int_max_str_digits() == 4300
+    order = predicted_order(
+        ConstructionSpec(kind="elementary-abelian", p=2, n=14284))
+    assert len(str(order)) == 4300
+    for n in (14285, 10 ** 400):  # 10^400 is too large for a float
+        with pytest.raises(InvalidParameterError, match="than 4300 digits"):
+            predicted_order(
+                ConstructionSpec(kind="elementary-abelian", p=2, n=n))
+
+
+def test_the_largest_reproduction_group_is_within_the_digit_limit():
+    spec = next(s for name, _, s in reproduction_plan(251)
+                if name == "wreath-square-extraspecial-base")
+    assert len(str(predicted_order(spec))) == 1810
+
+
 def test_even_prime_has_specific_error():
     with pytest.raises(EvenPrimeError):
         predicted_order(ConstructionSpec(kind="extraspecial-exponent-p", p=2,
@@ -192,6 +213,16 @@ def test_three_factor_product_multiplies_componentwise():
         assert g._mul(x, y) == b"".join(f._mul(x[a:b], y[a:b])
                                         for f, a, b in spans)
         assert g._inv(x) == b"".join(f._inv(x[a:b]) for f, a, b in spans)
+
+
+def test_product_generators_pad_each_factor_generator_in_factor_order():
+    # ES(3,1) has generators 010000 and 000100; C9 and C3 have 01 each
+    g = build(ConstructionSpec(kind="direct-product", factors=(
+        ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=1),
+        ConstructionSpec(kind="cyclic", n=9),
+        ConstructionSpec(kind="cyclic", n=3))))
+    assert [x.hex() for x in g.generators] == [
+        "0100000000", "0001000000", "0000000100", "0000000001"]
 
 
 def test_quaternion8_distinct_from_dihedral8(quaternion8, dihedral8):
@@ -397,3 +428,27 @@ def test_corpus_all_groups_are_p_groups():
             while n % p == 0:
                 n //= p
             assert n == 1, f"{spec} is not a {p}-group"
+
+
+# ---------------------------------------------------------------------------
+# primality
+
+
+def test_is_prime_agrees_with_a_sieve_below_10_5():
+    n = 10 ** 5
+    sieve = [False, False] + [True] * (n - 2)
+    for q in range(2, 317):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, n, q))
+    assert [k for k in range(-3, n) if is_prime(k)] == [
+        k for k in range(n) if sieve[k]]
+
+
+def test_is_prime_on_large_and_pseudoprime_inputs(monkeypatch):
+    assert is_prime(2 ** 61 - 1)
+    assert is_prime(2 ** 64 - 59)  # the largest prime below 2^64
+    assert not is_prime(2 ** 64 - 1)
+    # the least strong pseudoprime to all of the bases 2, 3, 5 and 7
+    assert not is_prime(3_215_031_751)
+    monkeypatch.setattr("classprod.util._BASES", (2, 3, 5, 7))
+    assert is_prime(3_215_031_751)

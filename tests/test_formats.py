@@ -18,14 +18,7 @@ from classprod import (
     class_partition,
     corpus,
 )
-from classprod.formats import (
-    cayley_table_text,
-    dump_cayley_table,
-    load_cayley_table,
-    load_construction_spec,
-    load_group,
-    load_permutation_group,
-)
+from classprod.formats import cayley_table_text, load_group
 from classprod.verify import spectrum_for_group
 
 from conftest import dihedral_reference_table, relabelled_table, table_text
@@ -53,9 +46,8 @@ def _write(tmp_path, name, text):
 
 
 def test_cayley_file_round_trip(tmp_path, dihedral8):
-    path = str(tmp_path / "d8.cayley")
-    dump_cayley_table(dihedral8, path)
-    g = load_cayley_table(path)
+    path = _write(tmp_path, "d8.cayley", cayley_table_text(dihedral8))
+    g = load_group(path)[0]
     assert g.order == 8
     # identity must occupy index 0 in the emitted table
     lines = [l for l in open(path) if l.strip() and not l.startswith("#")]
@@ -67,14 +59,14 @@ def test_cayley_text_matches_reference(tmp_path):
     table = dihedral_reference_table(8)
     body = "8\n" + "\n".join(" ".join(str(v) for v in row) for row in table)
     path = _write(tmp_path, "ref.cayley", body + "\n")
-    g = load_cayley_table(path)
+    g = load_group(path)[0]
     assert g.order == 8
 
 
 def test_cayley_file_tolerates_comments(tmp_path):
     body = "# two element group\n2\n\n0 1\n1 0\n"
     path = _write(tmp_path, "c2.cayley", body)
-    assert load_cayley_table(path).order == 2
+    assert load_group(path)[0].order == 2
 
 
 def test_cayley_file_rejects_nonassociative(tmp_path):
@@ -82,33 +74,33 @@ def test_cayley_file_rejects_nonassociative(tmp_path):
         " ".join(str(v) for v in row) for row in NONASSOCIATIVE_5)
     path = _write(tmp_path, "bad.cayley", body + "\n")
     with pytest.raises(FormatError):
-        load_cayley_table(path)
+        load_group(path)
 
 
 def test_cayley_file_rejects_out_of_range_entry(tmp_path):
     path = _write(tmp_path, "bad.cayley", "2\n0 1\n1 7\n")
     with pytest.raises(FormatError) as err:
-        load_cayley_table(path)
+        load_group(path)
     assert f"{path}:3: entry 7 outside 0..1" in str(err.value)
 
 
 def test_cayley_file_rejects_in_range_duplicates(tmp_path):
     path = _write(tmp_path, "bad.cayley", "3\n0 1 2\n1 1 0\n2 0 1\n")
     with pytest.raises(FormatError, match="not a bijection"):
-        load_cayley_table(path)
+        load_group(path)
 
 
 def test_cayley_file_of_order_one(tmp_path):
-    g = load_cayley_table(_write(tmp_path, "one.cayley", "1\n0\n"))
+    g = load_group(_write(tmp_path, "one.cayley", "1\n0\n"))[0]
     assert g.order == 1
     assert g.generators == (g.identity,)
 
 
 def test_cayley_file_accepts_noncanonical_integer_tokens(tmp_path):
-    plain = load_cayley_table(
-        _write(tmp_path, "z3.cayley", "3\n0 1 2\n1 2 0\n2 0 1\n"))
-    padded = load_cayley_table(
-        _write(tmp_path, "z3p.cayley", "3\n0 1 2\n+1 002 0\n2 00 +1\n"))
+    plain = load_group(
+        _write(tmp_path, "z3.cayley", "3\n0 1 2\n1 2 0\n2 0 1\n"))[0]
+    padded = load_group(
+        _write(tmp_path, "z3p.cayley", "3\n0 1 2\n+1 002 0\n2 00 +1\n"))[0]
     assert padded._table == plain._table
     assert padded.generators == plain.generators
 
@@ -124,8 +116,8 @@ def test_cayley_file_rows_share_one_set_of_ints(tmp_path):
     rows = [[add(i, j) for j in range(n)] for i in range(n)]
     lines = table_text(rows).splitlines()
     lines[501] = " ".join(f"{v:04d}" for v in rows[500])
-    g = load_cayley_table(_write(tmp_path, "g.cayley",
-                                 "\n".join(lines) + "\n"))
+    g = load_group(_write(tmp_path, "g.cayley",
+                          "\n".join(lines) + "\n"))[0]
     assert g._table == [tuple(row) for row in rows]
     assert len({id(v) for row in g._table for v in row}) == n
 
@@ -133,13 +125,13 @@ def test_cayley_file_rows_share_one_set_of_ints(tmp_path):
 def test_cayley_file_rejects_short_table(tmp_path):
     path = _write(tmp_path, "bad.cayley", "3\n0 1 2\n1 2 0\n")
     with pytest.raises(FormatError):
-        load_cayley_table(path)
+        load_group(path)
 
 
 def test_cayley_file_rejects_garbage(tmp_path):
     path = _write(tmp_path, "bad.cayley", "2\n0 x\n1 0\n")
     with pytest.raises(FormatError) as err:
-        load_cayley_table(path)
+        load_group(path)
     # diagnostics carry path:lineno and the token
     assert f"{path}:2: 'x' is not an integer" in str(err.value)
 
@@ -151,7 +143,7 @@ SMALL_CORPUS = corpus(3, 243) + corpus(5, 125)
 @pytest.mark.parametrize("spec", SMALL_CORPUS, ids=str)
 def test_relabelled_corpus_table_loads_as_in_memory(tmp_path, spec):
     rows = relabelled_table(build(spec), seed=11)
-    loaded = load_cayley_table(_write(tmp_path, "g.cayley", table_text(rows)))
+    loaded = load_group(_write(tmp_path, "g.cayley", table_text(rows)))[0]
     ref = CayleyTableGroup(rows)
     assert loaded._table == ref._table == [tuple(row) for row in rows]
     assert loaded._invtab == ref._invtab
@@ -178,8 +170,8 @@ def es243_rows():
 def test_cayley_file_reads_only_row_zero_and_generator_rows(
         tmp_path, monkeypatch, es243_rows):
     read, compared = _record_walk(monkeypatch)
-    g = load_cayley_table(_write(tmp_path, "g.cayley",
-                                 table_text(es243_rows)))
+    g = load_group(_write(tmp_path, "g.cayley",
+                          table_text(es243_rows)))[0]
     gens = [g.index_of(x) for x in g.generators]
     assert read == [0] + gens
     assert sorted(compared) == sorted(set(range(1, 243)) - set(gens))
@@ -188,7 +180,7 @@ def test_cayley_file_reads_only_row_zero_and_generator_rows(
 def _derived_rows(tmp_path, monkeypatch, rows):
     """First, middle and last row the walk derives, in walk order."""
     _, compared = _record_walk(monkeypatch)
-    load_cayley_table(_write(tmp_path, "walk.cayley", table_text(rows)))
+    load_group(_write(tmp_path, "walk.cayley", table_text(rows)))
     monkeypatch.undo()
     return compared[0], compared[len(compared) // 2], compared[-1]
 
@@ -199,7 +191,7 @@ def test_cayley_file_rejects_transpositions_in_derived_rows(
         bad = [list(row) for row in es243_rows]
         bad[z][1], bad[z][-1] = bad[z][-1], bad[z][1]
         with pytest.raises(FormatError, match="not associative") as err:
-            load_cayley_table(_write(tmp_path, "bad.cayley", table_text(bad)))
+            load_group(_write(tmp_path, "bad.cayley", table_text(bad)))
         x, g, y = map(int, re.search(r"at \((\d+),(\d+),(\d+)\)",
                                      str(err.value)).groups())
         assert bad[bad[x][g]][y] != bad[x][bad[g][y]]
@@ -211,7 +203,7 @@ def test_cayley_file_rejects_a_duplicate_in_a_derived_row(
     bad = [list(row) for row in es243_rows]
     bad[z][2] = bad[z][1]
     with pytest.raises(FormatError, match=f"row {z} is not a bijection"):
-        load_cayley_table(_write(tmp_path, "bad.cayley", table_text(bad)))
+        load_group(_write(tmp_path, "bad.cayley", table_text(bad)))
 
 
 def test_cayley_file_parses_noncanonical_derived_rows(
@@ -221,8 +213,8 @@ def test_cayley_file_parses_noncanonical_derived_rows(
     lines[1 + first] = "\t".join(f"{v:04d}" for v in es243_rows[first])
     lines[1 + middle] = "  ".join(f"+{v}" for v in es243_rows[middle])
     lines[1 + last] = " \t ".join(map(str, es243_rows[last]))
-    g = load_cayley_table(_write(tmp_path, "odd.cayley",
-                                 "\n".join(lines) + "\n"))
+    g = load_group(_write(tmp_path, "odd.cayley",
+                          "\n".join(lines) + "\n"))[0]
     assert g._table == [tuple(row) for row in es243_rows]
 
 
@@ -249,7 +241,7 @@ def test_relabelled_table_keeps_class_and_eta_invariants(tmp_path_factory,
     path = tmp_path_factory.mktemp("relabel") / "g.cayley"
     path.write_text(f"{n}\n" + "".join(
         " ".join(map(str, row)) + "\n" for row in relabelled))
-    loaded = load_cayley_table(str(path))
+    loaded = load_group(str(path))[0]
     assert _class_and_eta_invariants(loaded) == _class_and_eta_invariants(g)
 
 
@@ -259,20 +251,20 @@ def test_relabelled_table_keeps_class_and_eta_invariants(tmp_path_factory,
 
 def test_permutation_file_loads(tmp_path):
     path = _write(tmp_path, "s3.perm", "3\n1 0 2\n0 2 1\n")
-    g = load_permutation_group(path)
+    g = load_group(path)[0]
     assert g.order == 6
 
 
 def test_permutation_file_rejects_non_bijection(tmp_path):
     path = _write(tmp_path, "bad.perm", "3\n0 0 1\n")
     with pytest.raises(FormatError):
-        load_permutation_group(path)
+        load_group(path)
 
 
 def test_permutation_file_rejects_wrong_width(tmp_path):
     path = _write(tmp_path, "bad.perm", "3\n1 0\n")
     with pytest.raises(FormatError):
-        load_permutation_group(path)
+        load_group(path)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +274,13 @@ def test_permutation_file_rejects_wrong_width(tmp_path):
 def test_spec_file_loads(tmp_path):
     spec = ConstructionSpec(kind="affine-wreath", p=3)
     path = _write(tmp_path, "g.spec", spec.to_json())
-    assert load_construction_spec(path) == spec
+    assert load_group(path)[1] == spec.to_plain()
 
 
 def test_spec_file_rejects_unknown_field(tmp_path):
     path = _write(tmp_path, "g.spec", json.dumps({"kind": "cyclic", "z": 1}))
     with pytest.raises(FormatError, match="unknown spec fields: z"):
-        load_construction_spec(path)
+        load_group(path)
 
 
 @pytest.mark.parametrize("plain,code", [
@@ -309,8 +301,7 @@ def test_spec_file_that_cannot_build_names_the_file(tmp_path, plain, code):
 
 
 def test_load_group_by_extension(tmp_path, dihedral8):
-    cayley = str(tmp_path / "g.cayley")
-    dump_cayley_table(dihedral8, cayley)
+    cayley = _write(tmp_path, "g.cayley", cayley_table_text(dihedral8))
     g, desc = load_group(cayley)
     assert g.order == 8
     assert desc["kind"] == "cayley-table-file"
@@ -337,7 +328,7 @@ def test_load_group_sniffs_unknown_extension(tmp_path):
 def test_load_group_sniffs_a_table_without_extension(tmp_path, dihedral8):
     text = cayley_table_text(dihedral8)
     g, desc = load_group(_write(tmp_path, "d8.txt", text))
-    ref = load_cayley_table(_write(tmp_path, "d8.cayley", text))
+    ref = load_group(_write(tmp_path, "d8.cayley", text))[0]
     assert desc["kind"] == "cayley-table-file"
     assert g._table == ref._table
     assert g.generators == ref.generators

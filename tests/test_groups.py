@@ -160,7 +160,11 @@ def test_cayley_accepts_exactly_the_associative_latin_squares(
     for t in _reduced_latin_squares(n):
         seen += 1
         if _is_associative(t):
-            assert CayleyTableGroup(t).order == n
+            g = CayleyTableGroup(t)
+            assert g.order == n
+            for x in g.elements():
+                y = g.inverse(x)
+                assert g.multiply(x, y) == g.multiply(y, x) == g.identity
             accepted += 1
         else:
             _rejected_triple(t)
