@@ -26,48 +26,43 @@ from .util import _require_odd_prime
 
 
 class ConjugacyClass:
-    """The orbit of one element under conjugation by the whole group."""
+    """The orbit of one element under conjugation by the whole group.
 
-    __slots__ = ("group", "_raw", "_rep_raw")
+    ``members`` is the orbit and ``representative`` its encoding-least
+    member, canonical for the class.
+    """
 
-    def __init__(self, group: GroupHandle, raw_members: frozenset[bytes]):
+    __slots__ = ("group", "members", "representative")
+
+    def __init__(self, group: GroupHandle, members: frozenset[Element]):
         self.group = group
-        self._raw = raw_members
-        self._rep_raw = min(raw_members)
-
-    @property
-    def representative(self) -> Element:
-        """The encoding-least member; canonical for the class."""
-        return Element(self._rep_raw)
+        self.members = members
+        self.representative = min(members)
 
     @property
     def size(self) -> int:
-        return len(self._raw)
-
-    @property
-    def members(self) -> frozenset[Element]:
-        return frozenset(Element(raw) for raw in self._raw)
+        return len(self.members)
 
     def __contains__(self, x: Element) -> bool:
-        return x.encoding in self._raw
+        return x in self.members
 
     def __len__(self) -> int:
-        return len(self._raw)
+        return len(self.members)
 
     def __iter__(self) -> Iterator[Element]:
-        return (Element(raw) for raw in sorted(self._raw))
+        return iter(sorted(self.members))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConjugacyClass):
             return NotImplemented
-        return self.group is other.group and self._raw == other._raw
+        return self.group is other.group and self.members == other.members
 
     def __hash__(self) -> int:
-        return hash((self._rep_raw, len(self._raw)))
+        return hash((self.representative, len(self.members)))
 
     def __repr__(self) -> str:
-        return (f"ConjugacyClass(rep={self._rep_raw.hex()}, "
-                f"size={len(self._raw)})")
+        return (f"ConjugacyClass(rep={self.representative.hex()}, "
+                f"size={len(self.members)})")
 
 
 def _orbit_raw(g: GroupHandle, seed: bytes) -> frozenset[bytes]:
@@ -76,7 +71,7 @@ def _orbit_raw(g: GroupHandle, seed: bytes) -> frozenset[bytes]:
     Raises the cap error once the orbit holds more than ``g.order_cap``
     elements, so the cap bounds orbits of groups too large to enumerate.
     """
-    pairs = [(gr, g._inv(gr)) for gr in g._generators_raw]
+    pairs = [(gr, g._inv(gr)) for gr in g.generators]
     mul = g._mul
     return frozenset(_reach(
         [seed], lambda x: (mul(mul(geninv, x), gen) for gen, geninv in pairs),
@@ -84,8 +79,8 @@ def _orbit_raw(g: GroupHandle, seed: bytes) -> frozenset[bytes]:
 
 
 def conjugacy_class(g: GroupHandle, a: Element) -> ConjugacyClass:
-    g._check(a.encoding)
-    return ConjugacyClass(g, _orbit_raw(g, a.encoding))
+    g._check(a)
+    return ConjugacyClass(g, _orbit_raw(g, a))
 
 
 class ClassPartition:
@@ -110,7 +105,8 @@ class ClassPartition:
                 f"group has order {g.order}")
         self.classes: tuple[ConjugacyClass, ...] = tuple(classes)
         self._index_of = assigned
-        self._center = frozenset(c._rep_raw for c in classes if c.size == 1)
+        self._center = frozenset(c.representative for c in classes
+                                 if c.size == 1)
         # The caches of class_product's central-commutator path.
         self._commutators: dict[int, frozenset[bytes] | None] = {}
         self._translates: dict[tuple, tuple] = {}
@@ -122,8 +118,8 @@ class ClassPartition:
         return iter(self.classes)
 
     def class_of(self, x: Element) -> ConjugacyClass:
-        self.group._check(x.encoding)
-        return self.classes[self._index_of[x.encoding]]
+        self.group._check(x)
+        return self.classes[self._index_of[x]]
 
     def classes_of_size(self, size: int) -> tuple[ConjugacyClass, ...]:
         return tuple(c for c in self.classes if c.size == size)
@@ -141,7 +137,8 @@ class ClassPartition:
         placed: set[ConjugacyClass] = set()
         for c in self.classes_of_size(size):
             if c not in placed:
-                orbit = _central_translates(self.group, c._rep_raw, self._center)
+                orbit = _central_translates(self.group, c.representative,
+                                            self._center)
                 placed.update(orbit)
                 orbits.append(orbit)
         return orbits
@@ -180,7 +177,7 @@ def _classes_meeting(g: GroupHandle,
         return tuple(part.classes[i] for i in
                      sorted({index_of[raw] for raw in raws}))
     classes, _ = _peel(g, sorted(raws))
-    return tuple(sorted(classes, key=lambda c: c._rep_raw))
+    return tuple(sorted(classes, key=lambda c: c.representative))
 
 
 def _central_translates(g: GroupHandle, rep: bytes,
@@ -206,7 +203,7 @@ def _product_classes(g: DirectProductGroup):
     factor_classes = [class_partition(f).classes for f in g.factor_groups]
     for combo in itertools.product(*factor_classes):
         members = frozenset(map(b"".join,
-                                itertools.product(*(c._raw for c in combo))))
+                                itertools.product(*(c.members for c in combo))))
         assigned.update(dict.fromkeys(members, len(classes)))
         classes.append(ConjugacyClass(g, members))
     return classes, assigned
@@ -242,11 +239,9 @@ class CommutatorSet:
 
 def commutator_set(g: GroupHandle, a: Element) -> CommutatorSet:
     """[a, G], computed as a^-1 * (a's conjugacy class)."""
-    g._check(a.encoding)
-    ainv = g._inv(a.encoding)
-    members = frozenset(Element(g._mul(ainv, raw))
-                        for raw in _orbit_raw(g, a.encoding))
-    return CommutatorSet(a, members)
+    g._check(a)
+    ainv = g._inv(a)
+    return CommutatorSet(a, frozenset(g._mul(ainv, x) for x in _orbit_raw(g, a)))
 
 
 @dataclass(frozen=True)
@@ -259,7 +254,7 @@ class ClassDecomposition:
     @property
     def source(self) -> frozenset[Element]:
         """The decomposed set itself, rebuilt from its classes on demand."""
-        return frozenset(Element(raw) for c in self.classes for raw in c._raw)
+        return frozenset(x for c in self.classes for x in c.members)
 
     @property
     def eta(self) -> int:
@@ -292,13 +287,13 @@ def _central_commutators(part: ClassPartition,
     Built once per class with |y| multiplications, cached by class index.
     A set that only shares its representative with a class gets None.
     """
-    j = part._index_of[y._rep_raw]
-    if part.classes[j] is not y and part.classes[j]._raw != y._raw:
+    j = part._index_of[y.representative]
+    if part.classes[j] is not y and part.classes[j].members != y.members:
         return None
     if j not in part._commutators:
         g = part.group
-        yinv = g._inv(y._rep_raw)
-        comm = frozenset(g._mul(yinv, v) for v in y._raw)
+        yinv = g._inv(y.representative)
+        comm = frozenset(g._mul(yinv, v) for v in y.members)
         part._commutators[j] = comm if comm <= part._center else None
     return part._commutators[j]
 
@@ -341,18 +336,19 @@ def class_product(x: ConjugacyClass, y: ConjugacyClass) -> ClassDecomposition:
         raise GroupMismatchError(
             "cannot multiply conjugacy classes of different groups")
     g = x.group
-    pairs = _product_bound(g, len(x._raw), len(y._raw))
+    pairs = _product_bound(g, len(x.members), len(y.members))
     mul = g._mul
-    a = x._rep_raw
+    a = x.representative
     part = g._partition
     comm = None if part is None else _central_commutators(part, y)
     if comm is None:
-        d, total = _covering(g, _classes_meeting(g, [mul(a, v) for v in y._raw]))
+        d, total = _covering(
+            g, _classes_meeting(g, [mul(a, v) for v in y.members]))
     else:
-        w = part._index_of[mul(a, y._rep_raw)]
+        w = part._index_of[mul(a, y.representative)]
         if (w, comm) not in part._translates:
             part._translates[w, comm] = _covering(g, _central_translates(
-                g, part.classes[w]._rep_raw, comm))
+                g, part.classes[w].representative, comm))
         d, total = part._translates[w, comm]
     if total > pairs:
         raise PreconditionViolatedError(
@@ -366,8 +362,8 @@ def decompose_invariant_set(g: GroupHandle,
     """Decompose an arbitrary conjugation-closed set into classes."""
     raw = set()
     for x in members:
-        g._check(x.encoding)
-        raw.add(x.encoding)
+        g._check(x)
+        raw.add(x)
     if not raw:
         raise InvalidParameterError("cannot decompose an empty set")
     return ClassDecomposition(g, _decompose_raw(g, raw))
@@ -399,10 +395,10 @@ def quadratic_image_size(r: int, s: int, t: int, p: int) -> int:
 
 def as_subgroup(g: GroupHandle, members: Iterable[Element]) -> SubgroupView | None:
     """View a set as a subgroup if it is one, else None (no closure taken)."""
-    raw = sorted({x.encoding for x in members})
+    raw = sorted(set(members))
     for b in raw:
         g._check(b)
-    if g._identity_raw not in raw:
+    if g.identity not in raw:
         return None
     rawset = set(raw)
     mul = g._mul
@@ -410,7 +406,7 @@ def as_subgroup(g: GroupHandle, members: Iterable[Element]) -> SubgroupView | No
         for v in raw:
             if mul(u, v) not in rawset:
                 return None
-    return SubgroupView(g, (Element(b) for b in raw))
+    return SubgroupView(g, raw)
 
 
 def eta_one_criterion(g: GroupHandle, a: Element, b: Element) -> bool:
@@ -422,9 +418,9 @@ def eta_one_criterion(g: GroupHandle, a: Element, b: Element) -> bool:
     are checked here, the centralizers only when the sizes differ, and
     the call raises when neither holds.
     """
-    g._check(a.encoding)
-    g._check(b.encoding)
-    ab = Element(g._mul(a.encoding, b.encoding))
+    g._check(a)
+    g._check(b)
+    ab = g._mul(a, b)
     # |[x,G]| = |x^G|, so the commutator sets give the class sizes too;
     # each distinct one is built once.
     sets = {x: commutator_set(g, x).elements for x in {a, b, ab}}
@@ -454,13 +450,13 @@ def central_translate_classes(x: ConjugacyClass,
     if n_set.parent is not g:
         raise GroupMismatchError("subgroup and class live in different groups")
     mul = g._mul
-    for n in sorted(n_set._raw):
-        for gen in g._generators_raw:
+    for n in sorted(n_set.elements):
+        for gen in g.generators:
             if mul(n, gen) != mul(gen, n):
                 raise NotCentralError(
                     f"subgroup member {n.hex()} does not commute with "
                     f"generator {gen.hex()}")
-    return _central_translates(g, x._rep_raw, n_set._raw)
+    return _central_translates(g, x.representative, n_set.elements)
 
 
 def check_product_identity(g: GroupHandle, a: Element, b: Element) -> bool:
@@ -471,16 +467,16 @@ def check_product_identity(g: GroupHandle, a: Element, b: Element) -> bool:
     breaks it immediately.  Like ``class_product``, it raises the cap
     error before it builds either side if the product may exceed the cap.
     """
-    g._check(a.encoding)
-    g._check(b.encoding)
+    g._check(a)
+    g._check(b)
     mul = g._mul
-    ab = mul(a.encoding, b.encoding)
-    a_conj_b = g._conj(a.encoding, b.encoding)
-    xa, xb = _orbit_raw(g, a.encoding), _orbit_raw(g, b.encoding)
+    ab = mul(a, b)
+    a_conj_b = g._conj(a, b)
+    xa, xb = _orbit_raw(g, a), _orbit_raw(g, b)
     # |[a^b,G]| = |a^G| and |[b,G]| = |b^G|, so one bound covers both sides
     _product_bound(g, len(xa), len(xb))
     left = {mul(u, v) for u in xa for v in xb}
-    ka = commutator_set(g, Element(a_conj_b)).elements
+    ka = commutator_set(g, a_conj_b).elements
     kb = commutator_set(g, b).elements
-    right = {mul(ab, mul(u.encoding, v.encoding)) for u in ka for v in kb}
+    right = {mul(ab, mul(u, v)) for u in ka for v in kb}
     return left == right

@@ -290,10 +290,10 @@ class DirectProductGroup(GroupHandle):
         self._inv_parts = tuple((f._inv, a, b) for f, (a, b)
                                 in zip(self.factor_groups, self._slices))
         order = math.prod(f.order for f in factors)
-        ident = b"".join(f._identity_raw for f in factors)
+        ident = b"".join(f.identity for f in factors)
         gens = [ident[:a] + g + ident[b:] for f, (a, b)
                 in zip(self.factor_groups, self._slices)
-                for g in f._generators_raw]
+                for g in f.generators]
         super().__init__(order, ident, gens, order_cap)
 
     def _mul(self, x: bytes, y: bytes) -> bytes:
@@ -427,11 +427,11 @@ class WreathCyclicGroup(GroupHandle):
         self.base = base
         self.p = p
         self._w = base.encoding_width
-        ident = base._identity_raw * p + b"\x00"
+        ident = base.identity * p + b"\x00"
         gens = []
-        for g in base._generators_raw:
-            gens.append(g + base._identity_raw * (p - 1) + b"\x00")
-        gens.append(base._identity_raw * p + b"\x01")
+        for g in base.generators:
+            gens.append(g + base.identity * (p - 1) + b"\x00")
+        gens.append(base.identity * p + b"\x01")
         super().__init__(base.order ** p * p, ident, gens, order_cap)
 
     def _mul(self, x: bytes, y: bytes) -> bytes:
@@ -586,7 +586,7 @@ def build(spec: ConstructionSpec,
 
 def _least_noncentral(g: GroupHandle) -> bytes:
     """The encoding-least element outside the centre of ``g``."""
-    central = center(g)._raw
+    central = center(g).elements
     for raw in g._raw_elements():
         if raw not in central:
             return raw
@@ -599,7 +599,7 @@ def _base_seed_element(base_spec: ConstructionSpec, base: GroupHandle) -> bytes:
     if base_spec.kind == "cyclic":
         if base_spec.n < 2:
             raise UnsupportedRoleError("a trivial base has no seed element")
-        return base._generators_raw[0]
+        return base.generators[0]
     if base_spec.kind == "extraspecial-exponent-p":
         return _least_noncentral(base)
     raise UnsupportedRoleError(
@@ -621,14 +621,14 @@ def distinguished_element(spec: ConstructionSpec, role: str,
         base = build(spec.base, order_cap)
         seed = _base_seed_element(spec.base, base)
         count = 1 if role == "a-standard" else 2
-        parts = [seed] * count + [base._identity_raw] * (spec.p - count)
-        return Element(b"".join(parts) + b"\x00")
+        parts = [seed] * count + [base.identity] * (spec.p - count)
+        return b"".join(parts) + b"\x00"
     if kind == "affine-wreath" and role in ("a-standard", "b-double"):
         count = 1 if role == "a-standard" else 2
         values = [1] * count + [0] * (spec.p - count)
-        return Element(bytes(values) + bytes([1, 0]))
+        return bytes(values) + bytes([1, 0])
     if kind == "extraspecial-exponent-p" and role == "noncentral-witness":
-        return Element(_least_noncentral(build(spec, order_cap)))
+        return _least_noncentral(build(spec, order_cap))
     raise UnsupportedRoleError(
         f"role {role!r} is not defined for construction kind {kind!r}")
 

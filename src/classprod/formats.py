@@ -228,8 +228,8 @@ def cayley_table_text(g: GroupHandle) -> str:
     encoding order.  The result loads back as an isomorphic group.
     """
     elems = list(g._raw_elements())
-    elems.remove(g._identity_raw)
-    ordered = [g._identity_raw] + elems
+    elems.remove(g.identity)
+    ordered = [g.identity] + elems
     index = {raw: i for i, raw in enumerate(ordered)}
     lines = [str(len(ordered))]
     for x in ordered:

@@ -1,9 +1,11 @@
 """Finite-group backends over canonical byte encodings.
 
 Every backend realizes one small kernel (identity, multiply, inverse,
-generators, enumeration) on opaque fixed-width byte strings.  Orbit and
-closure code upstream can therefore dedup with plain hash sets and pick
-canonical representatives by byte order, independent of the backend.
+generators, enumeration) on opaque fixed-width byte strings, and an
+element is that ``bytes`` value everywhere, public API included
+(:data:`Element` names the type).  Orbit and closure code upstream can
+therefore dedup with plain hash sets and pick canonical representatives
+by byte order, independent of the backend.
 Every breadth-first closure (conjugation orbits, generated subgroups,
 permutation groups) runs through :func:`_reach`, which also holds the
 one enumeration-cap check for all of them.  The Cayley-table walk
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EnumerationCapError,
@@ -62,31 +64,20 @@ def _reach(start: Iterable, step, cap: int, what: str) -> set:
     return seen
 
 
-class Element(NamedTuple):
-    """Opaque group element: a fixed-width canonical byte encoding.
-
-    Equality, hashing and the total order all come straight from the
-    bytes, so the smallest element of any set is well defined and the
-    same on every run.
-    """
-
-    encoding: bytes
-
-    def hex(self) -> str:
-        return self.encoding.hex()
-
-    def __repr__(self) -> str:
-        return f"Element({self.encoding.hex()})"
+#: A group element is its canonical byte encoding: equality, hashing and
+#: the total order all come straight from the bytes, so the smallest
+#: element of any set is well defined and the same on every run.
+Element = bytes
 
 
 class GroupHandle(ABC):
     """A finite group: identity, multiplication, inverses, generators.
 
     Subclasses implement the raw-bytes kernel (``_mul``, ``_inv``,
-    ``_check``, ``_enumerate_raw``); everything else is shared.  Public
-    methods validate their arguments and work with :class:`Element`;
-    internal callers that have already validated may use the raw kernel
-    directly for speed.
+    ``_check``, ``_enumerate_raw``); everything else is shared.  An
+    element is its ``bytes`` encoding throughout.  Public methods
+    validate their arguments; internal callers that have already
+    validated may use the kernel directly for speed.
     """
 
     backend = "abstract"
@@ -100,8 +91,8 @@ class GroupHandle(ABC):
             raise InvalidParameterError("generator list must be nonempty")
         self.order = int(order)
         self.order_cap = int(order_cap)
-        self._identity_raw = bytes(identity)
-        self._generators_raw = gens
+        self.identity: Element = bytes(identity)
+        self.generators: tuple[Element, ...] = gens
         self._sorted_raw: tuple[bytes, ...] | None = None
         self._partition = None  # cached by classprod.classes.class_partition
 
@@ -148,63 +139,53 @@ class GroupHandle(ABC):
     # public interface
 
     @property
-    def identity(self) -> Element:
-        return Element(self._identity_raw)
-
-    @property
-    def generators(self) -> tuple[Element, ...]:
-        return tuple(Element(g) for g in self._generators_raw)
-
-    @property
     def encoding_width(self) -> int:
-        return len(self._identity_raw)
+        return len(self.identity)
 
     def element(self, encoding: bytes) -> Element:
-        """Validate an encoding and wrap it."""
-        raw = bytes(encoding)
-        self._check(raw)
-        return Element(raw)
+        """Validate an encoding and return it as ``bytes``."""
+        x = bytes(encoding)
+        self._check(x)
+        return x
 
     def multiply(self, x: Element, y: Element) -> Element:
-        self._check(x.encoding)
-        self._check(y.encoding)
-        return Element(self._mul(x.encoding, y.encoding))
+        self._check(x)
+        self._check(y)
+        return self._mul(x, y)
 
     def inverse(self, x: Element) -> Element:
-        self._check(x.encoding)
-        return Element(self._inv(x.encoding))
+        self._check(x)
+        return self._inv(x)
 
     def conjugate(self, a: Element, x: Element) -> Element:
         """a conjugated by x, i.e. x^-1 * a * x."""
-        self._check(a.encoding)
-        self._check(x.encoding)
-        return Element(self._conj(a.encoding, x.encoding))
+        self._check(a)
+        self._check(x)
+        return self._conj(a, x)
 
     def commutator(self, a: Element, g: Element) -> Element:
         """a^-1 * (a conjugated by g)."""
-        self._check(a.encoding)
-        self._check(g.encoding)
-        return Element(self._mul(self._inv(a.encoding),
-                                 self._conj(a.encoding, g.encoding)))
+        self._check(a)
+        self._check(g)
+        return self._mul(self._inv(a), self._conj(a, g))
 
     def power(self, x: Element, k: int) -> Element:
         """x**k by square-and-multiply; negative k goes through the inverse."""
-        self._check(x.encoding)
-        base = x.encoding
+        self._check(x)
         if k < 0:
-            base = self._inv(base)
+            x = self._inv(x)
             k = -k
-        acc = self._identity_raw
+        acc = self.identity
         while k:
             if k & 1:
-                acc = self._mul(acc, base)
-            base = self._mul(base, base)
+                acc = self._mul(acc, x)
+            x = self._mul(x, x)
             k >>= 1
-        return Element(acc)
+        return acc
 
     def elements(self) -> tuple[Element, ...]:
         """All elements, sorted by encoding.  Guarded by the order cap."""
-        return tuple(Element(b) for b in self._raw_elements())
+        return self._raw_elements()
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} backend={self.backend} order={self.order}>"
@@ -347,8 +328,8 @@ class CayleyTableGroup(GroupHandle):
                          order_cap)
 
     def index_of(self, x: Element) -> int:
-        self._check(x.encoding)
-        return self._dec[x.encoding]
+        self._check(x)
+        return self._dec[x]
 
     def _mul(self, x: bytes, y: bytes) -> bytes:
         return self._enc[self._table[self._dec[x]][self._dec[y]]]
@@ -433,42 +414,41 @@ class SubgroupView:
     """
 
     def __init__(self, parent: GroupHandle, elements: Iterable[Element]):
-        raw = frozenset(e.encoding for e in elements)
-        if parent._identity_raw not in raw:
+        elements = frozenset(elements)
+        if parent.identity not in elements:
             raise InvalidParameterError("a subgroup must contain the identity")
-        if parent.order % len(raw) != 0:
+        if parent.order % len(elements) != 0:
             raise InvalidParameterError(
-                f"subgroup size {len(raw)} does not divide the group order "
-                f"{parent.order}")
+                f"subgroup size {len(elements)} does not divide the group "
+                f"order {parent.order}")
         self.parent = parent
-        self._raw = raw
-        self.elements = frozenset(Element(b) for b in raw)
+        self.elements = elements
         self._normal: bool | None = None
 
     def __len__(self) -> int:
-        return len(self._raw)
+        return len(self.elements)
 
     def __contains__(self, x: Element) -> bool:
-        return x.encoding in self._raw
+        return x in self.elements
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SubgroupView)
-                and self.parent is other.parent and self._raw == other._raw)
+        return (isinstance(other, SubgroupView) and self.parent is other.parent
+                and self.elements == other.elements)
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self._raw))
+        return hash((id(self.parent), self.elements))
 
     @property
     def is_normal(self) -> bool:
         if self._normal is None:
             par = self.parent
-            self._normal = all(par._conj(h, g) in self._raw
-                               for g in par._generators_raw
-                               for h in self._raw)
+            self._normal = all(par._conj(h, g) in self.elements
+                               for g in par.generators
+                               for h in self.elements)
         return self._normal
 
     def __repr__(self) -> str:
-        return f"<SubgroupView order={len(self._raw)} of {self.parent!r}>"
+        return f"<SubgroupView order={len(self.elements)} of {self.parent!r}>"
 
 
 def closure(g: GroupHandle, seed: Iterable[Element]) -> SubgroupView:
@@ -477,32 +457,31 @@ def closure(g: GroupHandle, seed: Iterable[Element]) -> SubgroupView:
     A finite set closed under multiplication is a subgroup, so products
     against the seed elements suffice; inverses appear as powers.
     """
-    seeds = sorted({e.encoding for e in seed})
+    seeds = sorted(set(seed))
     if not seeds:
         raise InvalidParameterError("closure needs a nonempty seed")
     for s in seeds:
         g._check(s)
     mul = g._mul
-    known = _reach(sorted({g._identity_raw, *seeds}),
+    known = _reach(sorted({g.identity, *seeds}),
                    lambda a: (mul(a, s) for s in seeds),
                    g.order_cap, "subgroup closure")
-    return SubgroupView(g, (Element(b) for b in known))
+    return SubgroupView(g, known)
 
 
 def centralizer(g: GroupHandle, a: Element) -> SubgroupView:
     """All x with a^x = a.  Needs full enumeration, so the cap applies."""
-    g._check(a.encoding)
-    ar = a.encoding
-    hits = [b for b in g._raw_elements() if g._conj(ar, b) == ar]
-    return SubgroupView(g, (Element(b) for b in hits))
+    g._check(a)
+    hits = [b for b in g._raw_elements() if g._conj(a, b) == a]
+    return SubgroupView(g, hits)
 
 
 def center(g: GroupHandle) -> SubgroupView:
     """Elements fixed by conjugation; checking the generators suffices."""
-    gens = g._generators_raw
+    gens = g.generators
     hits = [b for b in g._raw_elements()
             if all(g._conj(b, x) == b for x in gens)]
-    return SubgroupView(g, (Element(b) for b in hits))
+    return SubgroupView(g, hits)
 
 
 class QuotientGroup(CayleyTableGroup):
@@ -523,13 +502,13 @@ class QuotientGroup(CayleyTableGroup):
         self._coset_of = coset_of
 
     def project(self, x: Element) -> Element:
-        self.parent._check(x.encoding)
-        return Element(self._enc[self._coset_of[x.encoding]])
+        self.parent._check(x)
+        return self._enc[self._coset_of[x]]
 
     def coset_representative(self, q: Element) -> Element:
         """The minimum parent element of the coset ``q``."""
-        self._check(q.encoding)
-        return Element(self._coset_reps[self._dec[q.encoding]])
+        self._check(q)
+        return self._coset_reps[self._dec[q]]
 
 
 def quotient_group(g: GroupHandle, n: SubgroupView) -> QuotientGroup:
@@ -544,7 +523,7 @@ def quotient_group(g: GroupHandle, n: SubgroupView) -> QuotientGroup:
     if q > QUOTIENT_TABLE_CAP:
         raise EnumerationCapError(
             f"quotient order {q} exceeds the table cap {QUOTIENT_TABLE_CAP}")
-    nraw = sorted(n._raw)
+    nraw = sorted(n.elements)
     coset_of_elem: dict[bytes, int] = {}
     reps: list[bytes] = []
     for x in elems:  # ascending, so the first member seen is the coset minimum
@@ -554,7 +533,7 @@ def quotient_group(g: GroupHandle, n: SubgroupView) -> QuotientGroup:
         reps.append(x)
         for h in nraw:
             coset_of_elem[g._mul(x, h)] = idx
-    ident_idx = coset_of_elem[g._identity_raw]
+    ident_idx = coset_of_elem[g.identity]
     order_map = [ident_idx] + [i for i in range(len(reps)) if i != ident_idx]
     new_index = {old: new for new, old in enumerate(order_map)}
     reps = [reps[old] for old in order_map]

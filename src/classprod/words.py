@@ -39,7 +39,7 @@ def parse_element_word(g: GroupHandle, word: str) -> Element:
         tokens.append((m.lastgroup, m.group(), m.start()))
     gens = g.generators
     end = ("end", "", len(word))
-    acc = g._identity_raw
+    acc = g.identity
     it = iter(tokens)
     for kind, text, at in it:  # the first token of a term
         if kind != "name":
@@ -62,9 +62,9 @@ def parse_element_word(g: GroupHandle, word: str) -> Element:
                     "expected an integer exponent after '^'", position=at)
             exponent = int(text)
             kind, text, at = next(it, end)
-        acc = g._mul(acc, g.power(base, exponent).encoding)
+        acc = g._mul(acc, g.power(base, exponent))
         if kind == "end":
-            return Element(acc)
+            return acc
         if text != "*":
             raise WordParseError(
                 f"expected '*' between terms, found {text!r}", position=at)

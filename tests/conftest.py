@@ -175,10 +175,10 @@ def sample_elements(g, count: int, seed: int = 0) -> list[Element]:
     if g.order <= g.order_cap:
         pool = g._raw_elements()
         return [Element(rng.choice(pool)) for _ in range(count)]
-    gens = g._generators_raw
+    gens = g.generators
     out = []
     for _ in range(count):
-        w = g._identity_raw
+        w = g.identity
         for _ in range(rng.randrange(1, 9)):
             w = g._mul(w, rng.choice(gens))
         out.append(Element(w))
@@ -187,8 +187,8 @@ def sample_elements(g, count: int, seed: int = 0) -> list[Element]:
 
 def assert_group_laws(g, samples: int = 1000, seed: int = 0) -> None:
     """Spot-check associativity, identity and inverses on random triples."""
-    e = g._identity_raw
-    pool = [x.encoding for x in sample_elements(g, 3 * samples, seed)]
+    e = g.identity
+    pool = sample_elements(g, 3 * samples, seed)
     for i in range(samples):
         x, y, z = pool[3 * i], pool[3 * i + 1], pool[3 * i + 2]
         if g._mul(g._mul(x, y), z) != g._mul(x, g._mul(y, z)):

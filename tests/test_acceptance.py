@@ -251,7 +251,7 @@ def test_identity_direct_product_multiplicativity():
                                factors=(_es(3, 1), _cyc(9))))
 
     def pack(x, y):
-        return g.element(x.encoding + y.encoding)
+        return g.element(x + y)
 
     k_reps = [c.representative for c in class_partition(k)]
     l_reps = [c.representative for c in class_partition(l)]

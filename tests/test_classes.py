@@ -93,7 +93,7 @@ def test_product_partition_matches_brute_force(spec):
     part = class_partition(g)
     assert [c.members for c in part.classes] == brute_class_partition(g)
     for i, c in enumerate(part.classes):
-        assert all(part._index_of[raw] == i for raw in c._raw)
+        assert all(part._index_of[raw] == i for raw in c.members)
 
 
 def test_product_partition_past_the_cap_raises():
@@ -239,7 +239,8 @@ GATE_GROUPS = ([(3, spec) for spec in corpus(3, 729)]
 def _set_path_classes(x, y):
     """The classes of the whole product set x * y, with its cover count."""
     g = x.group
-    return _decompose_raw(g, {g._mul(u, v) for u in x._raw for v in y._raw})
+    return _decompose_raw(
+        g, {g._mul(u, v) for u in x.members for v in y.members})
 
 
 @pytest.mark.parametrize("p,spec", GATE_GROUPS,
@@ -286,7 +287,7 @@ def test_fixed_representative_product_rejects_an_oversized_cover(
     part = class_partition(heisenberg27)
     one = part.classes_of_size(1)[0]
     big = part.classes_of_size(3)[0]
-    stray = ConjugacyClass(heisenberg27, frozenset([big._rep_raw]))
+    stray = ConjugacyClass(heisenberg27, frozenset([big.representative]))
     with pytest.raises(PreconditionViolatedError, match="cover 3 elements"):
         class_product(one, stray)
 
@@ -300,7 +301,7 @@ def test_stray_set_leaves_no_trace_in_the_partition_caches():
     one = part.classes_of_size(1)[0]
     sized = part.classes_of_size(3)
     for y in sized:
-        stray = ConjugacyClass(g, frozenset([y._rep_raw]))
+        stray = ConjugacyClass(g, frozenset([y.representative]))
         assert _central_commutators(part, stray) is None
         with pytest.raises(PreconditionViolatedError,
                            match="cover 3 elements"):
@@ -346,11 +347,11 @@ def test_central_commutator_shortcut_classes(p, spec):
     # every other size-p class must have a non-central [y,G]
     g = build(spec)
     part = class_partition(g)
-    z = center(g)._raw
+    z = center(g).elements
     sized = part.classes_of_size(p)
     hits = 0
     for y in sized:
-        comm = {c.encoding for c in commutator_set(g, y.representative)}
+        comm = set(commutator_set(g, y.representative))
         cached = _central_commutators(part, y)
         assert (cached is not None) == (comm <= z)
         if cached is not None:
@@ -470,6 +471,13 @@ def test_as_subgroup_rejects_non_subgroup(dihedral8):
     cls = conjugacy_class(dihedral8, rot)
     # {r, r^3} misses the identity
     assert as_subgroup(dihedral8, cls.members) is None
+
+
+def test_as_subgroup_rejects_a_set_that_is_not_closed(heisenberg27):
+    # {e, g0, g1} holds the identity and has order 3, dividing 27, but
+    # g0*g0 lies outside it
+    g0, g1 = heisenberg27.generators
+    assert as_subgroup(heisenberg27, [heisenberg27.identity, g0, g1]) is None
 
 
 def test_eta_one_criterion_positive(heisenberg27):

@@ -208,7 +208,7 @@ def test_three_factor_product_multiplies_componentwise():
     for f in g.factor_groups:
         spans.append((f, start, start + f.encoding_width))
         start += f.encoding_width
-    xs = [x.encoding for x in sample_elements(g, 400, seed=5)]
+    xs = sample_elements(g, 400, seed=5)
     for x, y in zip(xs, reversed(xs)):
         assert g._mul(x, y) == b"".join(f._mul(x[a:b], y[a:b])
                                         for f, a, b in spans)
@@ -258,9 +258,9 @@ def test_wreath_conjugation_by_shift_rotates_coordinates(wreath81):
     base_gen, shift = wreath81.generators
     a = base_gen                      # (1,0,0) with trivial shift
     moved = wreath81.conjugate(a, shift)
-    assert moved.encoding == bytes([0, 1, 0, 0])
+    assert moved == bytes([0, 1, 0, 0])
     again = wreath81.conjugate(moved, shift)
-    assert again.encoding == bytes([0, 0, 1, 0])
+    assert again == bytes([0, 0, 1, 0])
 
 
 def test_wreath_shift_has_order_p(wreath81):
@@ -320,7 +320,7 @@ def test_wreath_double_element_structure(wreath81):
     spec = ConstructionSpec(kind="wreath-cyclic", p=3,
                             base=ConstructionSpec(kind="cyclic", n=3))
     b = distinguished_element(spec, "b-double")
-    assert b.encoding == bytes([1, 1, 0, 0])
+    assert b == bytes([1, 1, 0, 0])
 
 
 def test_extraspecial_witness_not_central(heisenberg27):

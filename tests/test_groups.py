@@ -21,6 +21,10 @@ from classprod import (
     center,
     centralizer,
     closure,
+    commutator_set,
+    conjugacy_class,
+    distinguished_element,
+    parse_element_word,
     quotient_group,
 )
 
@@ -237,6 +241,19 @@ def test_cayley_rejects_shifted_identity():
         CayleyTableGroup([[1, 0], [0, 1]])
 
 
+def test_cayley_rejects_a_row_that_moves_column_0():
+    # a bijection that is not the row the identity column asks for
+    with pytest.raises(InvalidParameterError, match=re.escape(
+            "column 0 must fix every element, but 1*0 = 0")):
+        CayleyTableGroup([[0, 1], [0, 1]])
+
+
+def test_cayley_rejects_a_row_of_the_wrong_length():
+    with pytest.raises(InvalidParameterError,
+                       match="^row 1 has 3 entries, expected 2$"):
+        CayleyTableGroup([[0, 1], [1, 0, 0]])
+
+
 @pytest.mark.parametrize("table", [
     [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
     [(0, True, 2), (True, 2, 0), (2, 0, True)],
@@ -407,7 +424,7 @@ def test_closure_cap_is_checked_per_element():
                        match="exceeds the enumeration cap 26"):
         closure(g, g.generators)
     # the closure stops at the product that first takes it past the cap
-    start = {g._identity_raw, *g._generators_raw}
+    start = {g.identity, *g.generators}
     assert len(start.union(products)) == 27
     assert products[-1] not in start.union(products[:-1])
 
@@ -482,3 +499,44 @@ def test_sample_elements_deterministic(wreath81):
     b = sample_elements(wreath81, 20, seed=7)
     assert a == b
     assert all(isinstance(x, Element) for x in a)
+
+
+# ---------------------------------------------------------------------------
+# the element contract
+
+
+def test_every_public_element_is_its_bytes_encoding(wreath81):
+    g = wreath81
+    x, y = g.generators[:2]
+    q = quotient_group(g, center(g))
+    cls = conjugacy_class(g, y)
+    found = {
+        "identity": [g.identity],
+        "generators": g.generators,
+        "element": [g.element(bytes(x))],
+        "multiply": [g.multiply(x, y)],
+        "inverse": [g.inverse(x)],
+        "conjugate": [g.conjugate(x, y)],
+        "commutator": [g.commutator(x, y)],
+        "power": [g.power(x, -2)],
+        "elements": g.elements(),
+        "representative": [cls.representative],
+        "members": cls.members,
+        "subgroup": closure(g, [x]).elements,
+        "commutator_set": commutator_set(g, y).elements,
+        "word": [parse_element_word(g, "g0*g1^2")],
+        "project": [q.project(y)],
+        "coset_representative": [q.coset_representative(q.project(y))],
+    }
+    for spec, role in [
+            (ConstructionSpec(kind="wreath-cyclic", p=3,
+                              base=ConstructionSpec(kind="cyclic", n=3)),
+             "a-standard"),
+            (ConstructionSpec(kind="affine-wreath", p=3), "b-double"),
+            (ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=1),
+             "noncentral-witness")]:
+        found[f"{spec.kind} {role}"] = [distinguished_element(spec, role)]
+    for name, values in found.items():
+        assert values, name
+        assert all(type(v) is bytes for v in values), name
+    assert Element is bytes

@@ -91,8 +91,7 @@ def test_central_translate_count(spec):
             cls = conjugacy_class(g, b)
             translates = central_translate_classes(cls, n_set)
             stab = sum(1 for n in n_set.elements
-                       if n.encoding in
-                       {x.encoding for x in commutator_set(g, b).elements})
+                       if n in commutator_set(g, b).elements)
             assert len(translates) == len(n_set) // stab
             # every translate is a genuine class of the same size
             for t in translates:
@@ -131,7 +130,7 @@ def test_direct_product_eta_multiplicative(left, right):
     width_k = k.encoding_width
 
     def pack(x, y):
-        return g.element(x.encoding + y.encoding)
+        return g.element(x + y)
 
     k_reps = [c.representative for c in class_partition(k)][:6]
     l_reps = [c.representative for c in class_partition(l)][:6]
