@@ -86,15 +86,3 @@ class WordParseError(ClassprodError):
 class UnknownGeneratorError(WordParseError):
     code = "unknown-generator"
 
-
-class TheoremViolationError(ClassprodError):
-    """An exhaustive run contradicted a checked constraint.
-
-    ``reports`` carries the TheoremReports that document the counterexample.
-    """
-
-    code = "theorem-violation"
-
-    def __init__(self, message: str, reports: list | None = None):
-        super().__init__(message)
-        self.reports = reports if reports is not None else []

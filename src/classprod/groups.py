@@ -144,6 +144,9 @@ class GroupHandle(ABC):
 
     def element(self, encoding: bytes) -> Element:
         """Validate an encoding and return it as ``bytes``."""
+        if isinstance(encoding, int):  # bytes(n) would be n zero bytes
+            raise ForeignElementError(
+                f"an element encoding is bytes, got {type(encoding).__name__}")
         x = bytes(encoding)
         self._check(x)
         return x

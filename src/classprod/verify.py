@@ -26,7 +26,6 @@ Labels used in reports:
 from __future__ import annotations
 
 import gc
-import json
 import os
 import time
 from contextlib import closing
@@ -53,7 +52,6 @@ from .errors import (
     FormatError,
     InvalidParameterError,
     NotAPGroupError,
-    TheoremViolationError,
 )
 from .groups import DEFAULT_ORDER_CAP, Element, GroupHandle
 from .util import _require_odd_prime
@@ -570,10 +568,10 @@ def eta_spectrum(p: int, max_order: int, order_cap: int = DEFAULT_ORDER_CAP,
     """Per-group spectrum reports in corpus order, plus the merged tally.
 
     If a group contradicts the gap (eta strictly between 1 and (p+1)/2),
-    the scan stops at that group, kills the workers still sweeping later
-    groups, and raises with the reports so far attached to the error.
-    ``jobs`` > 1 sweeps the groups in that many worker processes; the
-    reports do not depend on it.
+    the scan stops at that group and kills the workers still sweeping
+    later groups; the list then ends with that group's report and has no
+    merged tally.  ``jobs`` > 1 sweeps the groups in that many worker
+    processes; the reports do not depend on it.
     """
     args = _corpus_tasks("spectrum", p, max_order, order_cap)
     kept = []
@@ -581,12 +579,7 @@ def eta_spectrum(p: int, max_order: int, order_cap: int = DEFAULT_ORDER_CAP,
         for report in reports:
             kept.append(report)
             if report.violations:
-                raise TheoremViolationError(
-                    f"gap violation: group "
-                    f"{json.dumps(report.group, sort_keys=True)} attains eta="
-                    f"{report.violations[0].eta} with 1 < eta < "
-                    f"{(p + 1) // 2}",
-                    reports=kept)
+                return kept
     kept.append(merge_spectrum_reports(p, max_order, kept))
     return kept
 

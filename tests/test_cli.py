@@ -257,6 +257,27 @@ def test_spectrum_timings_survive_a_gap_violation(timings, capsys,
                for r in records)
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_gap_violation_is_a_report_not_an_error(fmt, capsys, monkeypatch):
+    # eta = 2 faked on the order-125 extraspecial group stops the run
+    # there: the counterexample leaves only as records and exit code 2,
+    # the same at any --jobs, with nothing on stderr.
+    real = verify_mod.class_product
+    monkeypatch.setattr(
+        verify_mod, "class_product",
+        lambda x, y: (SimpleNamespace(eta=2) if x.group.order == 125
+                      else real(x, y)))
+    outs = []
+    for jobs in ("1", "2"):
+        assert main(["spectrum", "--p", "5", "--max-order", "625",
+                     "--format", fmt, "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs.append(captured.out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("eta," if fmt == "csv" else '{"')
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 
@@ -451,8 +472,7 @@ def test_unwritable_out_after_a_gap_violation_is_input_error(
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    gap, io_error = map(json.loads, captured.err.splitlines())
-    assert gap["error"] == "theorem-violation"
+    io_error = json.loads(captured.err)
     assert io_error["error"] == "io-error"
     assert str(out) in io_error["message"]
 
@@ -551,3 +571,17 @@ def test_readme_flags_line_lists_every_long_option():
                if option.startswith("--") and option != "--help"}
     assert documented == defined
     assert len(defined) == 12
+
+
+def test_readme_error_codes_line_lists_every_code():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        codes_line = re.search(r"^Error codes:(.*?)\n\n", fh.read(),
+                               re.MULTILINE | re.DOTALL).group(1)
+    documented = re.findall(r"`([a-z-]+)`", codes_line)
+    defined = {cls.code for cls in vars(classprod.errors).values()
+               if isinstance(cls, type)
+               and issubclass(cls, classprod.errors.ClassprodError)}
+    defined.add(classprod.errors.IO_ERROR)
+    assert sorted(documented) == sorted(defined)
+    assert len(defined) == 16

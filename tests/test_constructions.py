@@ -95,6 +95,8 @@ def test_spec_rejects_unknown_kind():
 @pytest.mark.parametrize("bad", [
     ConstructionSpec(kind="cyclic"),                       # missing n
     ConstructionSpec(kind="cyclic", n=0),
+    # "elementary-abelian needs a rank n >= 1"
+    ConstructionSpec(kind="elementary-abelian", p=3, n=0),
     ConstructionSpec(kind="dihedral", n=7),                # odd order
     ConstructionSpec(kind="dihedral", n=2),                # too small
     ConstructionSpec(kind="extraspecial-exponent-p", p=4, l=1),
@@ -335,6 +337,14 @@ def test_unsupported_role_rejected():
         distinguished_element(spec, "b-double")
     with pytest.raises(UnsupportedRoleError):
         distinguished_element(spec, "no-such-role")
+    for base, message in [
+            (ConstructionSpec(kind="cyclic", n=1),
+             "a trivial base has no seed element"),
+            (ConstructionSpec(kind="dihedral", n=4),
+             "no seed element defined for wreath base kind 'dihedral'")]:
+        wreath = ConstructionSpec(kind="wreath-cyclic", p=3, base=base)
+        with pytest.raises(UnsupportedRoleError, match=f"^{message}$"):
+            distinguished_element(wreath, "a-standard")
 
 
 # ---------------------------------------------------------------------------

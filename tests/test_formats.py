@@ -382,13 +382,18 @@ _UNSNIFFABLE = ": cannot identify the format; "
     ("g.txt", "3\n0 1\n", _UNSNIFFABLE + "rows match neither an order-3 "
      "table nor degree-3 permutations"),
     ("g.spec", '{"kind": "cyclic", "n": "x"}', ": field 'n' must be an integer"),
+    ("g.spec", "[1]", ": a construction spec must be an object, got list"),
+    ("g.spec", '{"n": 3}', ": spec is missing the 'kind' field"),
+    ("g.spec", '{"kind": "direct-product", "factors": {}}',
+     ": field 'factors' must be a list"),
     ("g.cayley", "2\n0 1\n0 1\n",
      ": column 0 must fix every element, but 1*0 = 0"),
     ("g.perm", "256\n" + " ".join(map(str, range(256))) + "\n",
      ": degree 256 unsupported (1..255)"),
 ], ids=["comment-only", "two-int-head", "zero-head", "perm-no-rows",
         "empty-sniffed", "sniffed-two-int-head", "sniffed-short-row",
-        "spec-str-n", "column-0-moved", "perm-degree-256"])
+        "spec-str-n", "spec-list", "spec-no-kind", "spec-dict-factors",
+        "column-0-moved", "perm-degree-256"])
 def test_load_group_rejects_malformed_heads_and_bodies(tmp_path, name, text,
                                                        message):
     path = _write(tmp_path, name, text)

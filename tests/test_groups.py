@@ -337,6 +337,39 @@ def test_foreign_element_rejected(cyclic9, dihedral8):
         cyclic9.multiply(cyclic9.identity, bad)
 
 
+_C3 = ConstructionSpec(kind="cyclic", n=3)
+_ES31 = ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=1)
+
+
+@pytest.mark.parametrize("spec,bad,message", [
+    (ConstructionSpec(kind="direct-product", factors=(_ES31, _C3)), "00",
+     "must have 4 bytes, got 1"),
+    (ConstructionSpec(kind="dihedral", n=8), "0002", "(rotation, flip)"),
+    (_ES31, "030000", "(x, y, z)"),
+    (ConstructionSpec(kind="wreath-cyclic", p=3, base=_C3), "00000003",
+     "(tuple, shift)"),
+    (ConstructionSpec(kind="affine-wreath", p=3), "0000000000", "(f, u, v)"),
+    (ConstructionSpec(kind="quaternion8"), "08", "table group"),
+    (ConstructionSpec(kind="iterated-wreath-sylow", p=3, copies=2),
+     "010002030405060708", "permutation group"),
+], ids=["direct-product-length", "dihedral", "extraspecial", "wreath-cyclic",
+        "affine-wreath", "cayley-table", "permutation"])
+def test_each_backend_rejects_a_foreign_encoding(spec, bad, message):
+    with pytest.raises(ForeignElementError, match=re.escape(message)):
+        build(spec).element(bytes.fromhex(bad))
+
+
+@pytest.mark.parametrize("spec,value", [
+    (ConstructionSpec(kind="cyclic", n=5), 1),
+    (ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=2), 5),
+    (ConstructionSpec(kind="cyclic", n=5), True),
+], ids=["cyclic-1", "extraspecial-5", "bool"])
+def test_element_refuses_an_int_as_an_encoding(spec, value):
+    with pytest.raises(ForeignElementError,
+                       match=f"got {type(value).__name__}$"):
+        build(spec).element(value)
+
+
 def test_power_matches_repeated_multiplication(wreath81):
     for x in sample_elements(wreath81, 12, seed=5):
         acc = wreath81.identity
