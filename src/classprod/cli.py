@@ -54,83 +54,73 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_output_flags(sp) -> None:
-    sp.add_argument("--out", metavar="PATH",
-                    help="write records here instead of stdout")
-
-
-def _add_cap_flag(sp) -> None:
-    sp.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP,
-                    help="most elements one enumeration, orbit or class "
-                         f"product may hold (default {DEFAULT_ORDER_CAP}); "
-                         "raising it can cost a lot of memory")
-
-
-def _add_jobs_flag(sp) -> None:
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes forked to sweep the corpus "
-                         "groups (default 1), at most one per group; more "
-                         "than 1 needs os.fork")
-
-
-def _add_timings_flag(sp) -> None:
-    sp.add_argument("--timings", action="store_true",
-                    help="record real elapsed_ms (off by default so reports "
-                         "are byte-reproducible)")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="classprod",
                      description="conjugacy class products and their "
                                  "decompositions in finite groups")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP,
+                        help="most elements one enumeration, orbit or class "
+                             "product may hold (default "
+                             f"{DEFAULT_ORDER_CAP}); raising it can cost a "
+                             "lot of memory")
+    common.add_argument("--out", metavar="PATH",
+                        help="write records here instead of stdout")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1,
+                      help="worker processes forked to sweep the corpus "
+                           "groups (default 1), at most one per group; more "
+                           "than 1 needs os.fork")
+    timings = argparse.ArgumentParser(add_help=False)
+    timings.add_argument("--timings", action="store_true",
+                         help="record real elapsed_ms (off by default so "
+                              "reports are byte-reproducible)")
 
-    sp = sub.add_parser("classes", help="list all conjugacy classes")
+    sp = sub.add_parser("classes", parents=[common],
+                        help="list all conjugacy classes")
     sp.add_argument("--group", required=True, metavar="PATH")
-    _add_cap_flag(sp)
-    _add_output_flags(sp)
+    sp.set_defaults(run=_run_classes)
 
-    sp = sub.add_parser("product", help="decompose a^G * b^G")
+    sp = sub.add_parser("product", parents=[common],
+                        help="decompose a^G * b^G")
     sp.add_argument("--group", required=True, metavar="PATH")
     sp.add_argument("--a", required=True, metavar="WORD",
                     help="generator word, e.g. 'g0*g1^-1'")
     sp.add_argument("--b", required=True, metavar="WORD")
-    _add_cap_flag(sp)
-    _add_output_flags(sp)
+    sp.set_defaults(run=_run_product)
 
-    sp = sub.add_parser("verify", help="run a theorem checker")
+    sp = sub.add_parser("verify", parents=[common, jobs, timings],
+                        help="run a theorem checker")
     sp.add_argument("--theorem", required=True, choices=("a", "b", "size2"))
-    sp.add_argument("--group", metavar="PATH",
-                    help="check one group from a file")
-    sp.add_argument("--corpus", dest="use_corpus", action="store_true",
-                    help="check every corpus group (needs --p, --max-order)")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--group", metavar="PATH",
+                        help="check one group from a file")
+    source.add_argument("--corpus", dest="use_corpus", action="store_true",
+                        help="check every corpus group (needs --p, "
+                             "--max-order)")
     sp.add_argument("--p", type=int)
     sp.add_argument("--max-order", type=int)
-    _add_cap_flag(sp)
-    _add_output_flags(sp)
-    _add_jobs_flag(sp)
-    _add_timings_flag(sp)
+    sp.set_defaults(run=_run_verify)
 
-    sp = sub.add_parser("reproduce", help="rerun the worked examples")
+    sp = sub.add_parser("reproduce", parents=[common, timings],
+                        help="rerun the worked examples")
     sp.add_argument("--p", type=int, required=True)
-    _add_cap_flag(sp)
-    _add_output_flags(sp)
-    _add_timings_flag(sp)
+    sp.set_defaults(run=lambda ns: reproduce_examples(ns.p, ns.cap))
 
-    sp = sub.add_parser("spectrum", help="tally eta over the corpus")
+    sp = sub.add_parser("spectrum", parents=[common, jobs, timings],
+                        help="tally eta over the corpus")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--max-order", type=int, required=True)
-    _add_cap_flag(sp)
-    _add_output_flags(sp)
     sp.add_argument("--format", dest="fmt", choices=("jsonl", "csv"),
                     default="jsonl", help="jsonl (default) or csv")
-    _add_jobs_flag(sp)
-    _add_timings_flag(sp)
+    sp.set_defaults(run=lambda ns: eta_spectrum(ns.p, ns.max_order, ns.cap,
+                                                ns.jobs))
 
-    sp = sub.add_parser("inspect", help="basic facts about a group source")
+    sp = sub.add_parser("inspect", parents=[common],
+                        help="basic facts about a group source")
     sp.add_argument("--group", required=True, metavar="PATH")
-    _add_cap_flag(sp)
-    _add_output_flags(sp)
+    sp.set_defaults(run=_run_inspect)
     return parser
 
 
@@ -139,18 +129,16 @@ def parse_config(argv=None) -> argparse.Namespace:
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.command == "verify":
-        if bool(ns.group) == bool(ns.use_corpus):
-            parser.error("verify needs exactly one of --group or --corpus")
         if ns.use_corpus and (ns.p is None or ns.max_order is None):
             parser.error("--corpus needs --p and --max-order")
-        if ns.group and ns.theorem in ("a", "b") and ns.p is None:
+        if not ns.use_corpus and ns.theorem in ("a", "b") and ns.p is None:
             parser.error(f"--theorem {ns.theorem} needs --p")
         if ns.theorem == "size2" and ns.p not in (None, 2):
             parser.error("--theorem size2 only takes --p 2: a class of "
                          "size 2 needs an even group order")
-        if ns.group and ns.max_order is not None:
+        if not ns.use_corpus and ns.max_order is not None:
             parser.error("--max-order only applies to --corpus")
-        if ns.group and ns.jobs > 1:
+        if not ns.use_corpus and ns.jobs > 1:
             parser.error("--jobs above 1 only applies to --corpus")
     if "jobs" in ns and ns.jobs < 1:
         parser.error("--jobs must be at least 1")
@@ -187,18 +175,10 @@ def _run_product(ns: argparse.Namespace) -> list[dict]:
 
 
 def _run_verify(ns: argparse.Namespace) -> list[TheoremReport]:
-    if ns.group:
-        g, desc = load_group(ns.group, ns.cap)
-        return [verify_group(ns.theorem, g, ns.p, desc)]
-    return verify_corpus(ns.theorem, ns.p, ns.max_order, ns.cap, ns.jobs)
-
-
-def _run_reproduce(ns: argparse.Namespace) -> list[TheoremReport]:
-    return reproduce_examples(ns.p, ns.cap)
-
-
-def _run_spectrum(ns: argparse.Namespace) -> list[TheoremReport]:
-    return eta_spectrum(ns.p, ns.max_order, ns.cap, ns.jobs)
+    if ns.use_corpus:
+        return verify_corpus(ns.theorem, ns.p, ns.max_order, ns.cap, ns.jobs)
+    g, desc = load_group(ns.group, ns.cap)
+    return [verify_group(ns.theorem, g, ns.p, desc)]
 
 
 def _run_inspect(ns: argparse.Namespace) -> list[dict]:
@@ -214,16 +194,6 @@ def _run_inspect(ns: argparse.Namespace) -> list[dict]:
         "class_sizes": {str(size): count
                         for size, count in part.size_histogram().items()},
     }]
-
-
-_RUNNERS = {
-    "classes": _run_classes,
-    "product": _run_product,
-    "verify": _run_verify,
-    "reproduce": _run_reproduce,
-    "spectrum": _run_spectrum,
-    "inspect": _run_inspect,
-}
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +248,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        results = _RUNNERS[ns.command](ns)
+        results = ns.run(ns)
         _write_records(results, ns)
     except (ClassprodError, OSError) as exc:
         _report_error(exc)

@@ -144,10 +144,13 @@ class GroupHandle(ABC):
 
     def element(self, encoding: bytes) -> Element:
         """Validate an encoding and return it as ``bytes``."""
-        if isinstance(encoding, int):  # bytes(n) would be n zero bytes
+        try:  # bytes(n) would be n zero bytes
+            x = None if isinstance(encoding, int) else bytes(encoding)
+        except (TypeError, ValueError):
+            x = None
+        if x is None:
             raise ForeignElementError(
                 f"an element encoding is bytes, got {type(encoding).__name__}")
-        x = bytes(encoding)
         self._check(x)
         return x
 

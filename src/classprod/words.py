@@ -25,6 +25,14 @@ _TOKEN = re.compile(
     r"(?P<name>e|g[0-9]+)|(?P<op>[*^])|(?P<int>-?[0-9]+)|(?P<bad>\S)")
 
 
+def _int(text: str) -> int | None:
+    """``int(text)``, or None when it has more digits than int() converts."""
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def parse_element_word(g: GroupHandle, word: str) -> Element:
     """Evaluate a generator word left-to-right under the group product."""
     if not word.strip():
@@ -47,7 +55,7 @@ def parse_element_word(g: GroupHandle, word: str) -> Element:
                 f"expected a generator name, found {text!r}", position=at)
         if text == "e":
             base = g.identity
-        elif (index := int(text[1:])) < len(gens):
+        elif (index := _int(text[1:])) is not None and index < len(gens):
             base = gens[index]
         else:
             raise UnknownGeneratorError(
@@ -60,7 +68,10 @@ def parse_element_word(g: GroupHandle, word: str) -> Element:
             if kind != "int":
                 raise WordParseError(
                     "expected an integer exponent after '^'", position=at)
-            exponent = int(text)
+            exponent = _int(text)
+            if exponent is None:
+                raise WordParseError("exponent has too many digits",
+                                     position=at)
             kind, text, at = next(it, end)
         acc = g._mul(acc, g.power(base, exponent))
         if kind == "end":

@@ -408,6 +408,12 @@ def test_decompose_invariant_set_whole_group(dihedral8):
     assert d.eta == len(class_partition(dihedral8))
 
 
+def test_decompose_invariant_set_rejects_an_empty_set(dihedral8):
+    with pytest.raises(InvalidParameterError,
+                       match="^cannot decompose an empty set$"):
+        decompose_invariant_set(dihedral8, [])
+
+
 @pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
 def test_decompose_invariant_set_rejects_partial_class(cached):
     g = build(ConstructionSpec(kind="dihedral", n=8))
@@ -600,6 +606,15 @@ def test_center_orbits_are_the_central_translates_of_their_leaders():
     for orbit in orbits:
         assert orbit == central_translate_classes(orbit[0], z)
         assert orbit[0] == min(orbit, key=lambda c: c.representative)
+
+
+def test_central_translates_refuse_another_groups_subgroup():
+    spec = ConstructionSpec(kind="cyclic", n=5)
+    g, h = build(spec), build(spec)
+    with pytest.raises(GroupMismatchError,
+                       match="^subgroup and class live in different groups$"):
+        central_translate_classes(conjugacy_class(g, g.generators[0]),
+                                  center(h))
 
 
 def test_central_translates_require_central_set(dihedral8):

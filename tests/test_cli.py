@@ -317,6 +317,9 @@ def test_usage_error_for_both_sources(affine_spec, capsys):
     code = main(["verify", "--theorem", "a", "--group", affine_spec,
                  "--corpus", "--p", "3", "--max-order", "27"])
     assert code == 1
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()
+               if line.startswith("{")]
+    assert [r["error"] for r in records] == ["invalid-parameter"]
 
 
 def test_csv_rejected_outside_spectrum(affine_spec, capsys):
@@ -409,6 +412,14 @@ def _inspect_spec(text):
     return make_args
 
 
+def _product_words(a):
+    def make_args(tmp_path):
+        path = tmp_path / "affine3.spec"
+        path.write_text(ConstructionSpec(kind="affine-wreath", p=3).to_json())
+        return ["product", "--group", str(path), "--a", a, "--b", "g0"]
+    return make_args
+
+
 @pytest.mark.parametrize("make_args,code", [
     # JSON integers above 4300 digits, and orders above 4300 digits
     (_inspect_spec('{"kind":"cyclic","n":1' + "0" * 5000 + "}"),
@@ -423,8 +434,12 @@ def _inspect_spec(text):
     (lambda _: ["reproduce", "--p", _BIG_P], "invalid-prime"),
     (_inspect_spec('{"kind":"elementary-abelian","p":%s,"n":2}' % _BIG_P),
      "invalid-prime"),
+    # element words whose numbers have more digits than int() converts
+    (_product_words("g0^" + "9" * 5000), "parse-error"),
+    (_product_words("g" + "9" * 5000), "unknown-generator"),
 ], ids=["json-5001-digits", "ea-3-20000", "ea-3-10e7", "spectrum-big-p",
-        "reproduce-big-p", "ea-big-p"])
+        "reproduce-big-p", "ea-big-p", "word-exponent-5000-digits",
+        "word-generator-5000-digits"])
 def test_large_number_input_is_one_quick_error_record(make_args, code,
                                                      tmp_path, capsys):
     args = make_args(tmp_path)
@@ -571,6 +586,29 @@ def test_readme_flags_line_lists_every_long_option():
                if option.startswith("--") and option != "--help"}
     assert documented == defined
     assert len(defined) == 12
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    shared = {"--cap", "--out"}
+    expected = {
+        "classes": shared | {"--group"},
+        "product": shared | {"--group", "--a", "--b"},
+        "verify": shared | {"--theorem", "--group", "--corpus", "--p",
+                            "--max-order", "--jobs", "--timings"},
+        "reproduce": shared | {"--p", "--timings"},
+        "spectrum": shared | {"--p", "--max-order", "--jobs", "--timings",
+                              "--format"},
+        "inspect": shared | {"--group"},
+    }
+    assert set(subparsers.choices) == set(expected)
+    for name, sub in subparsers.choices.items():
+        actions = [a for a in sub._actions if "--help" not in a.option_strings]
+        assert {o for a in actions for o in a.option_strings} == expected[name]
+        defaults = {a.dest: a.default for a in actions}
+        assert defaults["cap"] == 200000
+        assert defaults.get("jobs", 1) == 1
 
 
 def test_readme_error_codes_line_lists_every_code():

@@ -307,6 +307,17 @@ def test_permutation_rejects_non_bijection():
         PermutationGroup([[0, 0, 1]])
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: CayleyTableGroup([]), "multiplication table must be nonempty"),
+    (lambda: PermutationGroup([]), "at least one generator is required"),
+    (lambda: PermutationGroup([[1, 0], [0, 1, 2]]),
+     "generator 1 has degree 3, expected 2"),
+], ids=["empty-table", "no-generators", "mixed-degrees"])
+def test_backends_refuse_empty_or_ragged_input(make, message):
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_permutation_identity_and_inverse():
     g = PermutationGroup([[1, 2, 3, 0]])
     assert g.order == 4
@@ -368,6 +379,14 @@ def test_element_refuses_an_int_as_an_encoding(spec, value):
     with pytest.raises(ForeignElementError,
                        match=f"got {type(value).__name__}$"):
         build(spec).element(value)
+
+
+@pytest.mark.parametrize("value", ["00", 1.5, None, [300]],
+                         ids=["str", "float", "none", "byte-out-of-range"])
+def test_element_refuses_what_bytes_cannot_take(value):
+    with pytest.raises(ForeignElementError,
+                       match=f"got {type(value).__name__}$"):
+        build(ConstructionSpec(kind="cyclic", n=5)).element(value)
 
 
 def test_power_matches_repeated_multiplication(wreath81):
@@ -482,6 +501,20 @@ def test_subgroup_view_validation(dihedral8):
         SubgroupView(dihedral8, dihedral8.elements()[:3])
 
 
+def test_subgroup_view_needs_the_identity():
+    g = build(ConstructionSpec(kind="cyclic", n=5))
+    with pytest.raises(InvalidParameterError,
+                       match="^a subgroup must contain the identity$"):
+        SubgroupView(g, [g.generators[0]])
+
+
+def test_closure_needs_a_seed():
+    g = build(ConstructionSpec(kind="cyclic", n=5))
+    with pytest.raises(InvalidParameterError,
+                       match="^closure needs a nonempty seed$"):
+        closure(g, [])
+
+
 def test_subgroup_lagrange_check(dihedral8):
     # five elements cannot form a subgroup of an order-8 group
     elems = list(dihedral8.elements())[:5]
@@ -525,6 +558,16 @@ def test_quotient_rejects_foreign_subgroup(dihedral8, cyclic9):
     z = center(cyclic9)
     with pytest.raises(GroupMismatchError):
         quotient_group(dihedral8, z)
+
+
+def test_quotient_past_the_table_cap_raises():
+    g = build(ConstructionSpec(kind="cyclic", n=8194))
+    half = closure(g, [g.power(g.generators[0], 4097)])
+    assert len(half) == 2
+    with pytest.raises(EnumerationCapError,
+                       match="^quotient order 4097 exceeds the table cap "
+                             "4096$"):
+        quotient_group(g, half)
 
 
 def test_sample_elements_deterministic(wreath81):
