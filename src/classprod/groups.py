@@ -117,12 +117,16 @@ class GroupHandle(ABC):
         """x^-1 * a * x on raw encodings."""
         return self._mul(self._mul(self._inv(x), a), x)
 
+    def _require_enumerable(self) -> None:
+        """Raise the cap error if the order is above the enumeration cap."""
+        if self.order > self.order_cap:
+            raise EnumerationCapError(
+                f"group order {self.order} exceeds the enumeration cap "
+                f"{self.order_cap}; raise the cap to force this")
+
     def _raw_elements(self) -> tuple[bytes, ...]:
         if self._sorted_raw is None:
-            if self.order > self.order_cap:
-                raise EnumerationCapError(
-                    f"group order {self.order} exceeds the enumeration cap "
-                    f"{self.order_cap}; raise the cap to force this")
+            self._require_enumerable()
             elems = sorted(self._enumerate_raw())
             if len(elems) != self.order:
                 raise InvalidParameterError(

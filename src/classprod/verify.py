@@ -30,7 +30,7 @@ import os
 import time
 from contextlib import closing
 from dataclasses import dataclass, field, replace
-from itertools import chain, product, starmap
+from itertools import chain, islice, product, starmap
 from typing import Callable, Iterator, NoReturn
 
 from .classes import (
@@ -43,6 +43,7 @@ from .classes import (
 )
 from .constructions import (
     ConstructionSpec,
+    DirectProductGroup,
     build,
     corpus,
     distinguished_element,
@@ -317,11 +318,26 @@ def _sweep(theorem: str, p: int | None, desc: dict, g: GroupHandle,
     through the one helper ``class_product`` uses too.  That product
     multiplies one fixed representative of x by y, so a block costs one
     multiplication if [y,G] is central, else |y|.
+
+    First, once the order is checked against ``size`` and the cap, a
+    group whose generators commute pairwise is abelian and reports 0
+    pairs unenumerated, and a direct product whose factors are all
+    abelian but H is swept as H and lifted by :func:`_lift`, with H's
+    sweep in its ``elapsed_ms``; ``rule`` must agree on (x,a)^G and x^H.
     """
     if g.order % size:
         raise InvalidParameterError(
             f"group order {g.order} rules out a class of size {size}")
+    g._require_enumerable()
     t0 = time.perf_counter()
+    rest = _nonabelian_factors(g)
+    if not rest:
+        return TheoremReport(theorem, desc, p, 0, elapsed_ms=_ms(t0))
+    if len(rest) == 1 and isinstance(g, DirectProductGroup):
+        f = g.factor_groups[rest[0]]
+        report = (TheoremReport(theorem, desc, p, 0) if f.order % size
+                  else _sweep(theorem, p, desc, f, size, square, rule))
+        return _lift(report, g, rest[0], square, desc, t0)
     orbits = class_partition(g).center_orbits(size)
     counts: dict[int, int] = {}
     witnesses: dict[int, tuple[str, str]] = {}
@@ -353,6 +369,47 @@ def _sweep(theorem: str, p: int | None, desc: dict, g: GroupHandle,
                 for value in counts}
     return TheoremReport(theorem, desc, p, sum(counts.values()),
                          sorted(bad, key=lambda v: (v.a, v.b)), spectrum,
+                         _ms(t0))
+
+
+def _nonabelian_factors(g: GroupHandle) -> list[int]:
+    """The positions of the factors of a direct product ``g``, or of ``g``
+    itself otherwise, whose generators do not all commute pairwise."""
+    factors = g.factor_groups if isinstance(g, DirectProductGroup) else (g,)
+    return [i for i, f in enumerate(factors) if not all(
+        f._mul(x, y) == f._mul(y, x)
+        for j, x in enumerate(f.generators) for y in f.generators[:j])]
+
+
+def _lift(report: TheoremReport, g: DirectProductGroup, h: int,
+          square: bool, desc: dict, t0: float) -> TheoremReport:
+    """G's report from H's, for G = H x A with H ``g``'s factor ``h``.
+
+    (x,a)^G (y,b)^G = x^H y^H x {ab}, so eta, class sizes and [(x,a),G] =
+    [x,H] x 1 carry over: a pair of H stands for |A|^2 pairs of G (|A|
+    class squares unless ``square``), G's first witness puts A's least
+    encoding in the other slots, and its violations are H's crossed with
+    A (with A's diagonal for squares), sorted by hex.
+    """
+    a_all = list(product(*([x.hex() for x in f._raw_elements()]
+                           for i, f in enumerate(g.factor_groups) if i != h)))
+
+    def splice(x: str, a: tuple[str, ...]) -> str:
+        return "".join(a[:h] + (x,) + a[h:])
+
+    weight = len(a_all) ** 2 if square else len(a_all)
+    a0 = a_all[0]
+    spectrum = {value: SpectrumEntry(e.count * weight, desc,
+                                     splice(e.witness_a, a0),
+                                     splice(e.witness_b, a0))
+                for value, e in report.spectrum.items()}
+    bad = sorted((Violation(splice(v.a, a), splice(v.b, b), v.eta, v.expected)
+                  for v in report.violations
+                  for a, b in (product(a_all, repeat=2) if square
+                               else zip(a_all, a_all))),
+                 key=lambda v: (v.a, v.b))
+    return TheoremReport(report.theorem, desc, report.p,
+                         report.pairs_checked * weight, bad, spectrum,
                          _ms(t0))
 
 
@@ -399,7 +456,8 @@ def verify_theorem_b(g: GroupHandle, p: int,
         if d.eta == 1:
             # The criterion's size hypothesis |a^G| = |(a^2)^G| always
             # holds here: a has odd order, so it is a power of a^2.
-            if not eta_one_criterion(g, x.representative, x.representative):
+            if not eta_one_criterion(x.group, x.representative,
+                                     x.representative):
                 return "eta=1 forces [a,G]=[a^2,G], a normal subgroup"
         elif not (d.eta == bound and all(c.size == p for c in d.classes)):
             return f"eta=1, or eta={bound} with all classes of size {p}"
@@ -526,10 +584,16 @@ def corpus_theorem_report(theorem: str, spec: ConstructionSpec, p: int,
     return verify_group(theorem, build(spec, order_cap), p, spec.to_plain())
 
 
-def _corpus_tasks(theorem: str, p: int, max_order: int,
-                  order_cap: int) -> list[tuple]:
-    """``corpus_theorem_report``'s arguments for each corpus group; a bad
-    selector, or a p its sweep refuses, is refused before any fork."""
+def _corpus_reports(theorem: str, p: int, max_order: int, order_cap: int,
+                    jobs: int) -> Iterator[TheoremReport]:
+    """Yield each corpus group's report for one selector, in corpus order.
+
+    A bad selector or p is refused before any fork.  Direct products are
+    built here and resolved as ``_sweep`` does, so ``_map_jobs`` is handed
+    each distinct spec that needs a sweep once, in order of first need;
+    an abelian product is checked here, and an H x A report lifted from
+    H's after G's cap check, with the lift's own time as ``elapsed_ms``.
+    """
     _checker(theorem)
     if theorem != "size2":
         _require_odd_prime(p, f"the {theorem!r} corpus sweep")
@@ -537,7 +601,32 @@ def _corpus_tasks(theorem: str, p: int, max_order: int,
         raise InvalidParameterError(
             f"the 'size2' corpus sweep needs p = 2, got {p}: a class of "
             "size 2 needs an even group order")
-    return [(theorem, spec, p, order_cap) for spec in corpus(p, max_order)]
+    plan = []  # (spec, built product or None, H's index, task or None)
+    tasks: dict[ConstructionSpec, int] = {}
+    for spec in corpus(p, max_order):
+        g = h = None
+        need: ConstructionSpec | None = spec  # the spec to sweep, if any
+        if spec.kind == "direct-product":
+            g = build(spec, order_cap)
+            rest = _nonabelian_factors(g)
+            h = rest[0] if len(rest) == 1 else None
+            need = (None if not rest else spec if h is None
+                    else spec.factors[h])
+        plan.append((spec, g, h, None if need is None
+                     else tasks.setdefault(need, len(tasks))))
+    swept: list[TheoremReport] = []
+    args = [(theorem, spec, p, order_cap) for spec in tasks]
+    with closing(_map_jobs(corpus_theorem_report, args, jobs)) as reports:
+        for spec, g, h, task in plan:
+            if task is None:
+                yield verify_group(theorem, g, p, spec.to_plain())
+                continue
+            if h is not None:
+                g._require_enumerable()
+            swept.extend(islice(reports, max(0, task + 1 - len(swept))))
+            yield (swept[task] if h is None else
+                   _lift(swept[task], g, h, theorem != "b", spec.to_plain(),
+                         time.perf_counter()))
 
 
 def merge_spectrum_reports(p: int, max_order: int,
@@ -573,9 +662,9 @@ def eta_spectrum(p: int, max_order: int, order_cap: int = DEFAULT_ORDER_CAP,
     merged tally.  ``jobs`` > 1 sweeps the groups in that many worker
     processes; the reports do not depend on it.
     """
-    args = _corpus_tasks("spectrum", p, max_order, order_cap)
     kept = []
-    with closing(_map_jobs(corpus_theorem_report, args, jobs)) as reports:
+    with closing(_corpus_reports("spectrum", p, max_order, order_cap,
+                                 jobs)) as reports:
         for report in reports:
             kept.append(report)
             if report.violations:
@@ -592,5 +681,4 @@ def verify_corpus(theorem: str, p: int, max_order: int,
     ``jobs`` > 1 checks the groups in that many worker processes; the
     reports do not depend on it.
     """
-    args = _corpus_tasks(theorem, p, max_order, order_cap)
-    return list(_map_jobs(corpus_theorem_report, args, jobs))
+    return list(_corpus_reports(theorem, p, max_order, order_cap, jobs))

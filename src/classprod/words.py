@@ -25,6 +25,12 @@ _TOKEN = re.compile(
     r"(?P<name>e|g[0-9]+)|(?P<op>[*^])|(?P<int>-?[0-9]+)|(?P<bad>\S)")
 
 
+def _shown(text: str) -> str:
+    """``text`` quoted, or a long token's first characters and length."""
+    return (repr(text) if len(text) <= 16
+            else f"{text[:16]!r}... ({len(text)} characters)")
+
+
 def _int(text: str) -> int | None:
     """``int(text)``, or None when it has more digits than int() converts."""
     try:
@@ -52,14 +58,14 @@ def parse_element_word(g: GroupHandle, word: str) -> Element:
     for kind, text, at in it:  # the first token of a term
         if kind != "name":
             raise WordParseError(
-                f"expected a generator name, found {text!r}", position=at)
+                f"expected a generator name, found {_shown(text)}", position=at)
         if text == "e":
             base = g.identity
         elif (index := _int(text[1:])) is not None and index < len(gens):
             base = gens[index]
         else:
             raise UnknownGeneratorError(
-                f"generator {text!r} does not exist; this group has "
+                f"generator {_shown(text)} does not exist; this group has "
                 f"{len(gens)} generator(s) g0..g{len(gens) - 1}", position=at)
         kind, text, at = next(it, end)
         exponent = 1
@@ -78,5 +84,5 @@ def parse_element_word(g: GroupHandle, word: str) -> Element:
             return acc
         if text != "*":
             raise WordParseError(
-                f"expected '*' between terms, found {text!r}", position=at)
+                f"expected '*' between terms, found {_shown(text)}", position=at)
     raise WordParseError("word ends with a dangling '*'", position=len(word))

@@ -138,6 +138,34 @@ def test_verify_abelian_group_whose_order_allows_the_size(capsys, tmp_path):
     assert records[0]["pairs_checked"] == 0
 
 
+_ES31_C27 = ConstructionSpec(kind="direct-product", factors=(
+    ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=1),
+    ConstructionSpec(kind="cyclic", n=27)))
+
+
+@pytest.mark.parametrize("source", [
+    ["spectrum", "--p", "3", "--max-order", "729", "--jobs", "1"],
+    ["spectrum", "--p", "3", "--max-order", "729", "--jobs", "2"],
+    _ES31_C27, ConstructionSpec(kind="cyclic", n=729),
+], ids=["spectrum-jobs-1", "spectrum-jobs-2", "ES31xC27", "C729"])
+def test_a_group_above_the_cap_is_refused_before_any_shortcut(
+        source, tmp_path, capsys):
+    # An order-729 group above --cap 500 is refused, as when it was
+    # enumerated: in the corpus (C729 comes first), as an H x A product
+    # whose factor ES(3,1) fits under the cap, and as an abelian group.
+    if isinstance(source, ConstructionSpec):
+        path = tmp_path / "group.spec"
+        path.write_text(source.to_json())
+        source = ["verify", "--theorem", "a", "--group", str(path),
+                  "--p", "3"]
+    code, records, err = run_cli(source + ["--cap", "500"], capsys)
+    assert (code, records) == (1, [])
+    assert json.loads(err) == {
+        "error": "enumeration-too-large",
+        "message": "group order 729 exceeds the enumeration cap 500; "
+                   "raise the cap to force this"}
+
+
 def test_verify_corpus_exit_zero(capsys):
     code, records, _ = run_cli(
         ["verify", "--theorem", "a", "--corpus", "--p", "3",
@@ -211,18 +239,21 @@ def test_spectrum_csv(tmp_path, capsys):
 
 def test_spectrum_csv_after_a_gap_violation_tallies_every_swept_group(
         capsys, monkeypatch):
-    # eta = 2 is inside the p = 5 gap; faked on the order-625 group, the
-    # run stops there with no merged record, after ES(5,1) was swept.
+    # eta = 2 is inside the p = 5 gap; faked on each class square of the
+    # order-125 group, ES(5,1), the run stops there with no merged record
+    # and the fake 2 is tallied with the real 1 and 5 of the other pairs.
+    # ES(5,1) x C5 of order 625 follows, but is swept as ES(5,1), so a
+    # fake on order 625 would never fire.
     real = verify_mod.class_product
     monkeypatch.setattr(
         verify_mod, "class_product",
-        lambda x, y: (SimpleNamespace(eta=2) if x.group.order == 625
-                      else real(x, y)))
+        lambda x, y: (SimpleNamespace(eta=2)
+                      if x.group.order == 125 and x is y else real(x, y)))
     args = ["spectrum", "--p", "5", "--max-order", "625", "--jobs", "1"]
     code, records, _ = run_cli(args, capsys)
     assert code == 2
     assert [r["group"]["kind"] for r in records[-2:]] == [
-        "extraspecial-exponent-p", "direct-product"]
+        "direct-product", "extraspecial-exponent-p"]
     assert main(args + ["--format", "csv"]) == 2
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
     merged = merge_spectrum_reports(
@@ -238,13 +269,13 @@ def test_spectrum_csv_after_a_gap_violation_tallies_every_swept_group(
 @pytest.mark.parametrize("timings", [False, True])
 def test_spectrum_timings_survive_a_gap_violation(timings, capsys,
                                                   monkeypatch):
-    # eta = 2 faked on the order-625 group stops the run there; the clock
-    # verify reads steps 1 s per call, so every group's sweep takes at
-    # least 1000 ms, which its record shows only under --timings.
+    # eta = 2 faked on the order-125 group, ES(5,1), stops the run there;
+    # the clock verify reads steps 1 s per call, so every group's sweep
+    # takes at least 1000 ms, which its record shows only under --timings.
     real = verify_mod.class_product
     monkeypatch.setattr(
         verify_mod, "class_product",
-        lambda x, y: (SimpleNamespace(eta=2) if x.group.order == 625
+        lambda x, y: (SimpleNamespace(eta=2) if x.group.order == 125
                       else real(x, y)))
     ticks = itertools.count()
     monkeypatch.setattr(verify_mod, "time",
@@ -450,6 +481,20 @@ def test_large_number_input_is_one_quick_error_record(make_args, code,
     assert out.out == ""
     assert out.err.count("\n") == 1
     assert json.loads(out.err)["error"] == code
+
+
+@pytest.mark.parametrize("word,position", [
+    ("g" + "9" * 5000, 0), ("g0 " + "9" * 5000, 3), ("9" * 5000, 0),
+], ids=["unknown-generator", "found-after-a-term", "found-for-a-name"])
+def test_word_errors_quote_a_bounded_token(word, position, tmp_path,
+                                           capsys):
+    # a long token is quoted by a prefix and its length, not in full
+    assert main(_product_words(word)(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 300
+    message = json.loads(err)["message"]
+    assert message.endswith(f"(at position {position})")
+    assert f"({len(word) - position} characters)" in message
 
 
 def test_even_p_reproduce_is_input_error(capsys):

@@ -492,35 +492,45 @@ ES32_C3 = ConstructionSpec(kind="direct-product", factors=(
     ConstructionSpec(kind="cyclic", n=3)))
 
 
+def _handles(g):
+    """``g`` and every factor handle it is built from, depth first."""
+    yield g
+    for f in getattr(g, "factor_groups", ()):
+        yield from _handles(f)
+
+
 def _partition_and_sweep_muls(spec, p):
     """Multiplications of a fresh handle's partition and spectrum sweep.
 
-    Counted as the benchmark's traced pass counts them: by wrapping the
-    handle's ``_mul`` as an instance attribute.
+    Counted by wrapping ``_mul`` as an instance attribute, as the
+    benchmark's traced pass does, but on every handle the partition and
+    the sweep use: a product's partition is composed from its factors',
+    and an H x A product is swept as its factor H.
     """
     g = build(spec)
     counter = itertools.count()
-    raw = g._mul
+    handles = list(_handles(g))
+    for h in handles:
+        def counted(x, y, raw=h._mul):
+            next(counter)
+            return raw(x, y)
 
-    def counted(x, y):
-        next(counter)
-        return raw(x, y)
-
-    g._mul = counted
+        h._mul = counted
     class_partition(g)
     spectrum_for_group(g, p)
-    del g._mul
+    for h in handles:
+        del h._mul
     return next(counter)
 
 
 def test_multiplication_count_depends_only_on_the_group():
     # the memo of the central-commutator path lives on each handle's
-    # partition, so a second handle repeats the count exactly; one
-    # multiplication per block instead of |y| needs under half of the
-    # 10,440 a sweep took when every block cost |y|
+    # partition, so a second handle repeats the count exactly.  The
+    # factors' partitions take 1,950; sweeping ES(3,2) x C3 itself took
+    # 4,449 more, and sweeping it as its factor ES(3,2) takes fewer.
     first = _partition_and_sweep_muls(ES32_C3, 3)
     assert first == _partition_and_sweep_muls(ES32_C3, 3)
-    assert first < 10_440 // 2
+    assert first < 1_950 + 4_449
 
 
 SIZE_TWO_SPECS = [
@@ -532,7 +542,14 @@ SIZE_TWO_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", SIZE_TWO_SPECS, ids=["D16", "D8xC4"])
+#: D16 and D8 x C4, then every other p = 2 corpus group up to order 256.
+SIZE_TWO_ORACLE = SIZE_TWO_SPECS + [s for s in corpus(2, 256)
+                                    if s not in SIZE_TWO_SPECS]
+
+
+@pytest.mark.parametrize("spec", SIZE_TWO_ORACLE,
+                         ids=["D16", "D8xC4"] + [str(s) for s in
+                                                 SIZE_TWO_ORACLE[2:]])
 def test_size_two_sweep_matches_per_pair_oracle(spec, monkeypatch):
     g = build(spec)
     fast = verify_size_two(g).to_record()
@@ -588,6 +605,82 @@ def test_violations_expand_in_scan_order(monkeypatch):
     assert fast.violations == oracle.violations
     assert len(fast.violations) == fast.spectrum[2].count > 120
     assert any(v.a > v.b for v in fast.violations)
+
+
+def _spec(kind, *factors, **fields):
+    return ConstructionSpec(kind=kind, factors=factors, **fields)
+
+
+_ES31 = _spec("extraspecial-exponent-p", p=3, l=1)
+_C2, _C3 = _spec("cyclic", n=2), _spec("cyclic", n=3)
+
+#: Direct products the corpus does not list: H between abelian factors,
+#: two nonabelian factors (so no reduction), a nested product, and an H
+#: whose odd order rules out the swept class size 2.
+PRODUCT_SHAPES = [
+    (3, _spec("direct-product", _C3, _ES31,
+              _spec("elementary-abelian", p=3, n=2))),
+    (3, _spec("direct-product", _ES31, _ES31)),
+    (2, _spec("direct-product", _spec("dihedral", n=8),
+              _spec("quaternion8"))),
+    (2, _spec("direct-product", _C2, _spec("direct-product",
+                                           _spec("dihedral", n=8),
+                                           _spec("cyclic", n=4)))),
+    (2, _spec("direct-product", _ES31, _C2)),
+]
+
+
+@pytest.mark.parametrize("fake", [False, True], ids=["real", "relabelled"])
+@pytest.mark.parametrize("p,spec", PRODUCT_SHAPES,
+                         ids=["C3xES31xE9", "ES31xES31", "D8xQ8",
+                              "C2x(D8xC4)", "ES31xC2"])
+def test_product_reduction_matches_per_pair_oracle(p, spec, fake,
+                                                   monkeypatch):
+    # The H x A reduction against one product per ordered pair of G.
+    # Relabelling eta e as e + 2 puts every class square of B and every
+    # size-2 pair in violation, so the lift must cross them with A.
+    g = build(spec)
+    desc = spec.to_plain()
+    checkers = ((verify_size_two,) if p == 2 else
+                (spectrum_for_group, verify_theorem_a, verify_theorem_b))
+    if fake:
+        real = verify_mod.class_product
+
+        def relabelled(x, y):
+            d = real(x, y)
+            return SimpleNamespace(eta=d.eta + 2, classes=d.classes)
+
+        monkeypatch.setattr(verify_mod, "class_product", relabelled)
+    fast = [check(g, p, desc).to_record() for check in checkers]
+    assert any(r["violations"] for r in fast) == (
+        fake and any(r["pairs_checked"] for r in fast))
+    monkeypatch.setattr(verify_mod, "_sweep", pair_sweep)
+    assert [check(g, p, desc).to_record() for check in checkers] == fast
+
+
+@pytest.mark.parametrize("run,p,max_order", [
+    (lambda: eta_spectrum(3, 729), 3, 729),
+    (lambda: verify_corpus("size2", 2, 64), 2, 64),
+], ids=["eta_spectrum-3-729", "verify_corpus-size2-2-64"])
+def test_corpus_runner_hands_out_each_distinct_spec_once(run, p, max_order,
+                                                         monkeypatch):
+    # Every direct product in these corpora has an abelian factor, so none
+    # is handed to the job map: each is derived from its factor H, which
+    # the corpus also lists on its own and is swept once.
+    handed = []
+    real = verify_mod._map_jobs
+
+    def recorded(worker, args_list, jobs):
+        handed.extend(spec for _, spec, _, _ in args_list)
+        return real(worker, args_list, jobs)
+
+    monkeypatch.setattr(verify_mod, "_map_jobs", recorded)
+    reports = run()
+    specs = corpus(p, max_order)
+    assert [r.group for r in reports[:len(specs)]] == [
+        s.to_plain() for s in specs]
+    assert len(set(handed)) == len(handed)
+    assert handed == [s for s in specs if s.kind != "direct-product"]
 
 
 def test_pool_never_outnumbers_its_tasks(monkeypatch):
