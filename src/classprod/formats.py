@@ -20,7 +20,6 @@ applies, the offending line.
 from __future__ import annotations
 
 import os
-from operator import itemgetter
 
 from .constructions import ConstructionSpec, build
 from .errors import FormatError, InvalidParameterError
@@ -81,15 +80,17 @@ def _head_value(lines: list[tuple[int, str]], path: str, what: str) -> int:
 class _TableText:
     """The body rows of a table file, each parsed only when it is read.
 
-    ``row_equals(i, row)`` says whether line i is the canonical rendering
-    of ``row`` (decimal entries one space apart), so a matching line is
-    never split; a line that differs is read in full by the validator.
+    ``labels`` are the canonical entries ``str(i)``, in which the table
+    group holds its rows.  ``row_equals(i, row)`` says whether line i is
+    the canonical rendering of the label row ``row`` (its labels one
+    space apart), so a matching line is never split; a line that differs
+    is read in full by the validator.
     """
 
     def __init__(self, body: list[tuple[int, str]], path: str):
         self._body = body
         self._path = path
-        self._names = [str(i) for i in range(len(body))]
+        self.labels = [str(i) for i in range(len(body))]
 
     def __len__(self) -> int:
         return len(self._body)
@@ -108,8 +109,8 @@ class _TableText:
                 f"expected {n}")
         return row
 
-    def row_equals(self, i: int, row: tuple[int, ...]) -> bool:
-        return " ".join(itemgetter(*row)(self._names)) == self._body[i][1]
+    def row_equals(self, i: int, row: tuple[str, ...]) -> bool:
+        return " ".join(row) == self._body[i][1]
 
 
 def _parse_cayley_table(lines: list[tuple[int, str]], path: str,

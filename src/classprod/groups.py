@@ -201,26 +201,35 @@ class GroupHandle(ABC):
         return f"<{type(self).__name__} backend={self.backend} order={self.order}>"
 
 
-def _walk_table(n: int, read, same) -> tuple[list, list[int]]:
+def _walk_table(n: int, read, same,
+                labels: Sequence) -> tuple[list, list[int], list[int]]:
     """Validate a Cayley table in one breadth-first walk from 0.
 
-    ``read(i)`` gives the given row i in full and ``same(i, row)`` says
-    whether it equals ``row``.  Only tree edges (x, g), where z = x*g is
-    first reached, do work: row z is derived as row x permuted by row g
-    and compared with the given row z.  After the walk, every generator
-    row g must commute with every generator column h: g*(x*h) = (g*x)*h
-    for all x.  :class:`CayleyTableGroup` says which rows are read and
-    why the walk is exact.  Returns the rows, which share one set of n
-    ints, and the generator indices.
+    ``labels`` are n distinct objects, label i standing for element i;
+    the rows are tuples of them.  ``read(i)`` gives the given row i in
+    full, as indices, and ``same(i, row)`` says whether it equals the
+    label tuple ``row``.  Only tree edges (x, g), where z = x*g is first
+    reached, do work: row z is derived as row x permuted by row g and
+    compared with the given row z.  After the walk, every generator row g
+    must commute with every generator column h: g*(x*h) = (g*x)*h for
+    all x.  :class:`CayleyTableGroup` says which rows are read and why
+    the walk is exact.  Returns the rows, which share the n labels, the
+    generator indices and the inverse of each index.
     """
     ints = list(range(n))
     everything = set(ints)
+    index = dict(zip(labels, ints))
     rows: list = [None] * n
-    rows[0] = tuple(ints)
-    if tuple(map(int, read(0))) != rows[0]:
+    rows[0] = tuple(labels)
+    if tuple(map(int, read(0))) != tuple(ints):
         raise InvalidParameterError(
             "row 0 must be the identity row (element 0 is the identity)")
     order = [0]
+    # z = came_from[z] * came_by[z] on the edge that first reached z;
+    # came_by[s] = 0 for a stall generator s
+    came_from = [0] * n
+    came_by = [0] * n
+    gen_rows = {}  # each stall generator's row, as indices
     steps = []
 
     def checked(i: int) -> tuple[int, ...]:
@@ -237,14 +246,16 @@ def _walk_table(n: int, read, same) -> tuple[list, list[int]]:
         return tuple(map(ints.__getitem__, row))
 
     def visit(x: int, g: int, take) -> None:
-        z = rows[x][g]
+        z = index[rows[x][g]]
         if rows[z] is not None:
             return
         cand = take(rows[x])
         rows[z] = cand
         order.append(z)
+        came_from[z] = x
+        came_by[z] = g
         if not same(z, cand):
-            known = checked(z)
+            known = tuple(map(labels.__getitem__, checked(z)))
             if known != cand:
                 y = next(y for y in ints if known[y] != cand[y])
                 raise InvalidParameterError(
@@ -255,10 +266,11 @@ def _walk_table(n: int, read, same) -> tuple[list, list[int]]:
     while len(order) < n:
         while rows[least] is not None:
             least += 1
-        rows[least] = checked(least)
+        row = gen_rows[least] = checked(least)
+        rows[least] = tuple(map(labels.__getitem__, row))
         order.append(least)
         # a stall needs an unreached index, so n >= 2 and this yields tuples
-        steps.append((least, itemgetter(*rows[least])))
+        steps.append((least, itemgetter(*row)))
         for x in order[:done]:
             visit(x, *steps[-1])
         while done < len(order):
@@ -266,17 +278,25 @@ def _walk_table(n: int, read, same) -> tuple[list, list[int]]:
                 visit(order[done], g, take)
             done += 1
     # the order-1 table stalls on no index; 0 generates it
-    gens = [g for g, _ in steps] or [0]
-    for h in gens:
-        col = list(map(itemgetter(h), rows))
-        for g in gens:
-            row = rows[g]
+    gen_rows = gen_rows or {0: (0,)}
+    for h in gen_rows:
+        col = list(map(index.__getitem__, map(itemgetter(h), rows)))
+        for g, row in gen_rows.items():
             g_xh = list(map(row.__getitem__, col))
             if g_xh != list(map(col.__getitem__, row)):
                 x = next(x for x in ints if g_xh[x] != col[row[x]])
                 raise InvalidParameterError(
                     f"table is not associative at ({g},{x},{h})")
-    return rows, gens
+    # now a group: a stall generator's inverse is read off its row, and
+    # every later z = x*g has z^-1 = g^-1 * x^-1, both known by walk order
+    inv = [0] * n
+    for z in order[1:]:
+        g = came_by[z]
+        if g:
+            inv[z] = index[rows[inv[g]][inv[came_from[z]]]]
+        else:
+            inv[z] = rows[z].index(labels[0])
+    return rows, list(gen_rows), inv
 
 
 class CayleyTableGroup(GroupHandle):
@@ -285,16 +305,21 @@ class CayleyTableGroup(GroupHandle):
     Element i is encoded as the fixed-width big-endian integer i; element
     0 must be the identity.  ``table`` is any sequence of n rows, and
     one breadth-first walk from 0 (:func:`_walk_table`) validates it.
-    The walk reads row 0 and each generator row in full; where it stalls,
-    the least unreached index becomes the next generator.  Where it
-    first reaches z = x*g, it derives ``cand``, row x permuted by row g,
-    and compares the given row z with it: through
+    The rows are held in the table's own labels: ``table.labels`` where
+    the table has them (the file loader's are the decimal strings
+    ``str(i)``) and the ints 0..n-1 otherwise, so every row shares those
+    n objects.  The walk reads row 0 and each generator row in full;
+    where it stalls, the least unreached index becomes the next
+    generator.  Where it first reaches z = x*g, it derives ``cand``, row
+    x permuted by row g, and compares the given row z with it: through
     ``table.row_equals(z, cand)`` where the table has one (the file
-    loader compares text) and as a tuple otherwise.  A text match is
-    exact, and a row that does not match is read and checked in full.
-    A row read in full is range-, length- and bijection-checked and must
-    fix column 0; a derived row permutes a bijection by a bijection, so
-    it is one, and it fixes column 0 by construction.
+    loader joins the labels and compares text) and as a tuple otherwise.
+    A text match is exact, since the join of the canonical labels is the
+    row's canonical text, and a row that does not match is read and
+    checked in full.  A row read in full is range-, length- and
+    bijection-checked and must fix column 0 before it is mapped onto the
+    labels; a derived row permutes a bijection by a bijection, so it is
+    one, and it fixes column 0 by construction.
 
     Then, as in Light's test (Clifford & Preston, *The Algebraic Theory
     of Semigroups*, Vol. I, 1961), left translations L_g (row g) are
@@ -311,8 +336,10 @@ class CayleyTableGroup(GroupHandle):
     4. in a regular P, row(x*y) and row(x) after row(y) both send 0 to
        x*y, so they are equal, which is associativity.
 
-    So x*j = 0 makes j a two-sided inverse, read off row x unchecked: with
-    j*k = 0, k = (x*j)*k = x*(j*k) = x.
+    So the table is a group, and the inverses come from the walk in walk
+    order: a stall generator s has s^-1 = j where s*j = 0, and an element
+    z first reached as x*g has z^-1 = g^-1 * x^-1, where g and x were
+    reached before z.
     """
 
     backend = "cayley-table"
@@ -326,14 +353,14 @@ class CayleyTableGroup(GroupHandle):
         if same is None:
             def same(i, row):
                 return tuple(table[i]) == row
-        rows, gen_idx = _walk_table(n, table.__getitem__, same)
-        # x*j = 0 and j*k = 0 give k = (x*j)*k = x*(j*k) = x, so j*x = 0
-        invtab = [row.index(0) for row in rows]
+        labels = getattr(table, "labels", None) or list(range(n))
+        rows, gen_idx, self._invtab = _walk_table(n, table.__getitem__, same,
+                                                  labels)
         width = int_byte_width(n - 1)
         self._enc = [i.to_bytes(width, "big") for i in range(n)]
         self._dec = {b: i for i, b in enumerate(self._enc)}
+        self._enc_of = dict(zip(labels, self._enc))
         self._table = rows
-        self._invtab = invtab
         super().__init__(n, self._enc[0], (self._enc[i] for i in gen_idx),
                          order_cap)
 
@@ -342,7 +369,7 @@ class CayleyTableGroup(GroupHandle):
         return self._dec[x]
 
     def _mul(self, x: bytes, y: bytes) -> bytes:
-        return self._enc[self._table[self._dec[x]][self._dec[y]]]
+        return self._enc_of[self._table[self._dec[x]][self._dec[y]]]
 
     def _inv(self, x: bytes) -> bytes:
         return self._enc[self._invtab[self._dec[x]]]

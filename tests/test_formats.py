@@ -15,8 +15,10 @@ from classprod import (
     ConstructionSpec,
     FormatError,
     build,
+    center,
     class_partition,
     corpus,
+    quotient_group,
 )
 from classprod.formats import cayley_table_text, load_group
 from classprod.verify import spectrum_for_group
@@ -39,6 +41,11 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _int_rows(g):
+    """The rows of a table group as int tuples, whatever its labels."""
+    return [tuple(map(int, row)) for row in g._table]
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +112,9 @@ def test_cayley_file_accepts_noncanonical_integer_tokens(tmp_path):
     assert padded.generators == plain.generators
 
 
-def test_cayley_file_rows_share_one_set_of_ints(tmp_path):
-    # rows are read through one list of n ints or derived from such rows,
-    # so the table holds n int objects, not one per entry; row 500 is
+def test_cayley_file_rows_share_one_set_of_labels(tmp_path):
+    # rows are mapped onto one list of n labels or derived from such rows,
+    # so the table holds n label objects, not one per entry; row 500 is
     # zero-padded, so it is parsed token by token and must join that set
     def add(i, j):  # (Z_9)^3, digit by digit in base 9
         return sum((i // d + j // d) % 9 * d for d in (1, 9, 81))
@@ -118,7 +125,7 @@ def test_cayley_file_rows_share_one_set_of_ints(tmp_path):
     lines[501] = " ".join(f"{v:04d}" for v in rows[500])
     g = load_group(_write(tmp_path, "g.cayley",
                           "\n".join(lines) + "\n"))[0]
-    assert g._table == [tuple(row) for row in rows]
+    assert _int_rows(g) == [tuple(row) for row in rows]
     assert len({id(v) for row in g._table for v in row}) == n
 
 
@@ -136,6 +143,15 @@ def test_cayley_file_rejects_garbage(tmp_path):
     assert f"{path}:2: 'x' is not an integer" in str(err.value)
 
 
+def _assert_walk_inverses(g):
+    """The walk's inverses equal a scan of each row for the identity."""
+    identity = g._table[0][0]
+    assert g._invtab == [row.index(identity) for row in g._table]
+    for x in g.elements():
+        assert (g.multiply(x, g.inverse(x)) == g.multiply(g.inverse(x), x)
+                == g.identity)
+
+
 # Every corpus group to 243 at p = 3 and to 125 at p = 5.
 SMALL_CORPUS = corpus(3, 243) + corpus(5, 125)
 
@@ -145,9 +161,18 @@ def test_relabelled_corpus_table_loads_as_in_memory(tmp_path, spec):
     rows = relabelled_table(build(spec), seed=11)
     loaded = load_group(_write(tmp_path, "g.cayley", table_text(rows)))[0]
     ref = CayleyTableGroup(rows)
-    assert loaded._table == ref._table == [tuple(row) for row in rows]
-    assert loaded._invtab == ref._invtab
+    assert _int_rows(loaded) == ref._table == [tuple(row) for row in rows]
     assert loaded.generators == ref.generators
+    _assert_walk_inverses(loaded)
+    _assert_walk_inverses(ref)
+
+
+def test_quotient_and_order_one_tables_take_inverses_in_walk_order(
+        tmp_path, wreath81):
+    _assert_walk_inverses(quotient_group(wreath81, center(wreath81)))
+    _assert_walk_inverses(CayleyTableGroup([[0]]))
+    _assert_walk_inverses(load_group(_write(tmp_path, "one.cayley",
+                                            "1\n0\n"))[0])
 
 
 def _record_walk(monkeypatch):
@@ -215,7 +240,28 @@ def test_cayley_file_parses_noncanonical_derived_rows(
     lines[1 + last] = " \t ".join(map(str, es243_rows[last]))
     g = load_group(_write(tmp_path, "odd.cayley",
                           "\n".join(lines) + "\n"))[0]
-    assert g._table == [tuple(row) for row in es243_rows]
+    assert _int_rows(g) == [tuple(row) for row in es243_rows]
+
+
+def test_cayley_file_parses_every_zero_padded_derived_row(
+        tmp_path, monkeypatch):
+    # every line but row 0 and the generator rows differs from its
+    # derivation's text, so each is parsed and mapped onto the labels
+    rows = relabelled_table(build(ConstructionSpec(
+        kind="extraspecial-exponent-p", p=3, l=1)), seed=5)
+    ref = load_group(_write(tmp_path, "g.cayley", table_text(rows)))[0]
+    gens = {ref.index_of(x) for x in ref.generators}
+    lines = table_text(rows).splitlines()
+    for i in set(range(1, 27)) - gens:
+        lines[1 + i] = " ".join(f"{v:03d}" for v in rows[i])
+    read, _ = _record_walk(monkeypatch)
+    g = load_group(_write(tmp_path, "padded.cayley",
+                          "\n".join(lines) + "\n"))[0]
+    assert sorted(read) == list(range(27))
+    assert g._table == ref._table
+    assert g._invtab == ref._invtab
+    assert g.generators == ref.generators
+    assert len({id(v) for row in g._table for v in row}) == 27
 
 
 def _class_and_eta_invariants(g):
