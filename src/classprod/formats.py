@@ -161,9 +161,9 @@ def _parse_permutations(lines: list[tuple[int, str]], path: str,
 def _sniff_kind(lines: list[tuple[int, str]], path: str) -> str:
     """The numeric format of a file, from its head line and first row.
 
-    Only the head line is parsed as an integer.  The body is judged by
-    its row count and the token count of its first row; the chosen
-    parser reports any later malformed row with its line number.
+    Rows of n entries are permutations unless there are n of them and the
+    first parses to 0 .. n-1, the identity row every table starts with.
+    The chosen parser reports any later malformed row with its line number.
     """
     if not lines:
         raise FormatError(f"{path}: file has no content")
@@ -176,7 +176,8 @@ def _sniff_kind(lines: list[tuple[int, str]], path: str) -> str:
     n = head[0]
     body = lines[1:]
     if body and len(body[0][1].split()) == n:
-        return "cayley" if len(body) == n else "perm"
+        identity = _int_tokens(body[0][1], path, body[0][0]) == list(range(n))
+        return "cayley" if identity and len(body) == n else "perm"
     raise FormatError(
         f"{path}: cannot identify the format; rows match neither an order-"
         f"{n} table nor degree-{n} permutations")

@@ -54,7 +54,7 @@ from .errors import (
     InvalidParameterError,
     NotAPGroupError,
 )
-from .groups import DEFAULT_ORDER_CAP, Element, GroupHandle
+from .groups import DEFAULT_ORDER_CAP, GroupHandle
 from .util import _require_odd_prime
 
 THEOREM_LABELS = ("A", "B", "Prop2.1", "Prop4.1", "Prop4.3", "Remark4.2")
@@ -479,83 +479,57 @@ def verify_size_two(g: GroupHandle, p: int | None = None,
 # ----------------------------------------------------------------------
 # reproductions of the worked examples
 
-REPRODUCTION_CHECKS = ("wreath-square", "wreath-square-extraspecial-base",
-                       "shifted-pair", "affine-square")
-
-
-def reproduction_plan(p: int) -> list[tuple[str, str, ConstructionSpec]]:
-    """(check name, report label, spec) for each worked-example check."""
-    wreath_cyclic = ConstructionSpec(
-        kind="wreath-cyclic", p=p, base=ConstructionSpec(kind="cyclic", n=p))
-    wreath_es = ConstructionSpec(
-        kind="wreath-cyclic", p=p,
-        base=ConstructionSpec(kind="extraspecial-exponent-p", p=p, l=1))
-    affine = ConstructionSpec(kind="affine-wreath", p=p)
-    return [
-        ("wreath-square", "Prop4.1", wreath_cyclic),
-        ("wreath-square-extraspecial-base", "Prop4.1", wreath_es),
-        ("shifted-pair", "Remark4.2", wreath_cyclic),
-        ("affine-square", "Prop4.3", affine),
-    ]
-
-
-def run_reproduction_check(check: str, p: int,
-                           order_cap: int = DEFAULT_ORDER_CAP) -> TheoremReport:
-    """Run one named reproduction and report what was observed."""
-    _require_odd_prime(p, "the example reproductions")
-    plan = {name: (label, spec) for name, label, spec in reproduction_plan(p)}
-    if check not in plan:
-        raise InvalidParameterError(
-            f"unknown reproduction check {check!r}; expected one of "
-            f"{', '.join(REPRODUCTION_CHECKS)}")
-    label, spec = plan[check]
-    t0 = time.perf_counter()
-    g = build(spec, order_cap)
-    a = distinguished_element(spec, "a-standard", order_cap)
-    xa = conjugacy_class(g, a)
-    violations: list[Violation] = []
-
-    def expect(cond: bool, b_elem: Element, observed_eta: int,
-               constraint: str) -> None:
-        if not cond:
-            violations.append(Violation(a.hex(), b_elem.hex(), observed_eta,
-                                        constraint))
-
-    if check in ("wreath-square", "wreath-square-extraspecial-base"):
-        n = 1 if check == "wreath-square" else 2
-        d = class_product(xa, xa)
-        expect(xa.size == p ** n, a, d.eta, f"|a^G|={p ** n}")
-        expect(d.eta == (p + 1) // 2, a, d.eta, f"eta={(p + 1) // 2}")
-    elif check == "shifted-pair":
-        b = distinguished_element(spec, "b-double", order_cap)
-        d = class_product(xa, conjugacy_class(g, b))
-        expect(d.eta == p - 1, b, d.eta, f"eta={p - 1}")
-    else:  # affine-square
-        d = class_product(xa, xa)
-        expect(xa.size == p, a, d.eta, f"|a^G|={p}")
-        expect(d.eta == 2, a, d.eta, "eta=2")
-        square_class = conjugacy_class(g, g.power(a, 2))
-        spike_class = conjugacy_class(
-            g, distinguished_element(spec, "b-double", order_cap))
-        expect(set(d.classes) == {square_class, spike_class}, a, d.eta,
-               "product = (a^2)^G union (c,c,e,...,e)^G")
-    return TheoremReport(label, spec.to_plain(), p, 1, violations, {},
-                         _ms(t0))
-
-
 def reproduce_examples(p: int, order_cap: int = DEFAULT_ORDER_CAP
                        ) -> list[TheoremReport]:
-    """Run every worked-example reproduction, in plan order.
+    """Recompute the paper's worked examples at the odd prime ``p``.
+
+    With a and b the spec's ``a-standard`` and ``b-double`` elements, one
+    report per check (one pair, the spec as its group, the check's own
+    ``elapsed_ms``), in this order:
+
+    1. ``Prop4.1`` on wreath(C_p): |a^G| = p and eta(a^G a^G) = (p+1)/2;
+    2. ``Prop4.1`` on wreath(ES(p,1)): |a^G| = p^2 and the same eta;
+    3. ``Remark4.2`` on wreath(C_p): eta(a^G b^G) = p - 1;
+    4. ``Prop4.3`` on affine-wreath(p): |a^G| = p, eta(a^G a^G) = 2 and
+       a^G a^G = (a^2)^G + b^G.
 
     None of them enumerates its whole group, so the cap bounds the orbits
     and class products they compute, not the group order.  A bad ``p`` is
-    refused before any check does work.  The checks run in this process: the
-    extraspecial-base wreath square holds nearly all of the work (95% at
-    p = 7, 99.5% at p = 17), so workers could save only the other three
-    checks, which take less time than a fork.
+    refused before any check does work.  The checks run in this process,
+    as the extraspecial-base wreath square holds nearly all of their work.
     """
-    return [run_reproduction_check(name, p, order_cap)
-            for name in REPRODUCTION_CHECKS]
+    _require_odd_prime(p, "the example reproductions")
+    wreath = ConstructionSpec(kind="wreath-cyclic", p=p,
+                              base=ConstructionSpec(kind="cyclic", n=p))
+    wreath_es = ConstructionSpec(
+        kind="wreath-cyclic", p=p,
+        base=ConstructionSpec(kind="extraspecial-exponent-p", p=p, l=1))
+    reports = []
+    for label, spec, size, eta in (  # size: the claimed |a^G|, if any
+            ("Prop4.1", wreath, p, (p + 1) // 2),
+            ("Prop4.1", wreath_es, p * p, (p + 1) // 2),
+            ("Remark4.2", wreath, None, p - 1),
+            ("Prop4.3", ConstructionSpec(kind="affine-wreath", p=p), p, 2)):
+        t0 = time.perf_counter()
+        g = build(spec, order_cap)
+        a = b = distinguished_element(spec, "a-standard", order_cap)
+        xa = xb = conjugacy_class(g, a)
+        if label == "Remark4.2":  # the shifted pair; the others square a^G
+            b = distinguished_element(spec, "b-double", order_cap)
+            xb = conjugacy_class(g, b)
+        d = class_product(xa, xb)
+        claims = [] if size is None else [(xa.size == size, f"|a^G|={size}")]
+        claims.append((d.eta == eta, f"eta={eta}"))
+        if label == "Prop4.3":
+            classes = {conjugacy_class(g, g.power(a, 2)), conjugacy_class(
+                g, distinguished_element(spec, "b-double", order_cap))}
+            claims.append((set(d.classes) == classes,
+                           "product = (a^2)^G union (c,c,e,...,e)^G"))
+        reports.append(TheoremReport(
+            label, spec.to_plain(), p, 1,
+            [Violation(a.hex(), b.hex(), d.eta, text)
+             for holds, text in claims if not holds], {}, _ms(t0)))
+    return reports
 
 
 # ----------------------------------------------------------------------
@@ -576,12 +550,6 @@ def verify_group(theorem: str, g: GroupHandle, p: int | None,
                  group_desc: dict | None = None) -> TheoremReport:
     """Run the checker a selector (a, b, size2 or spectrum) names."""
     return _checker(theorem)(g, p, group_desc)
-
-
-def corpus_theorem_report(theorem: str, spec: ConstructionSpec, p: int,
-                          order_cap: int = DEFAULT_ORDER_CAP) -> TheoremReport:
-    """Run one theorem checker over one corpus group."""
-    return verify_group(theorem, build(spec, order_cap), p, spec.to_plain())
 
 
 def _corpus_reports(theorem: str, p: int, max_order: int, order_cap: int,
@@ -614,9 +582,13 @@ def _corpus_reports(theorem: str, p: int, max_order: int, order_cap: int,
                     else spec.factors[h])
         plan.append((spec, g, h, None if need is None
                      else tasks.setdefault(need, len(tasks))))
+    def sweep(spec: ConstructionSpec) -> TheoremReport:
+        return verify_group(theorem, build(spec, order_cap), p,
+                            spec.to_plain())
+
     swept: list[TheoremReport] = []
-    args = [(theorem, spec, p, order_cap) for spec in tasks]
-    with closing(_map_jobs(corpus_theorem_report, args, jobs)) as reports:
+    with closing(_map_jobs(sweep, [(spec,) for spec in tasks],
+                           jobs)) as reports:
         for spec, g, h, task in plan:
             if task is None:
                 yield verify_group(theorem, g, p, spec.to_plain())

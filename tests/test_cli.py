@@ -207,6 +207,17 @@ def test_reproduce_p7_exits_zero(capsys):
     assert all(r["violations"] == [] for r in records)
 
 
+def test_reproduce_p23_stops_at_the_default_cap(capsys):
+    # The extraspecial-base wreath square may hold 529 * 529 elements.
+    code = main(["reproduce", "--p", "23"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert [json.loads(line) for line in out.err.splitlines()] == [{
+        "error": "enumeration-too-large",
+        "message": "the product of classes of sizes 529 and 529 may hold "
+                   "279841 elements, above the enumeration cap 200000"}]
+
+
 def test_reproduce_small_cap_is_input_error(capsys):
     code, records, err = run_cli(["reproduce", "--p", "5", "--cap", "100"],
                                  capsys)

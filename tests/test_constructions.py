@@ -21,7 +21,6 @@ from classprod.classes import class_partition
 from classprod.constructions import KINDS, ROLES
 from classprod.groups import center
 from classprod.util import is_prime
-from classprod.verify import reproduction_plan
 
 from conftest import assert_group_laws, brute_center, sample_elements
 
@@ -149,8 +148,9 @@ def test_a_spec_is_refused_exactly_when_its_order_is_too_long_to_print():
 
 
 def test_the_largest_reproduction_group_is_within_the_digit_limit():
-    spec = next(s for name, _, s in reproduction_plan(251)
-                if name == "wreath-square-extraspecial-base")
+    spec = ConstructionSpec(
+        kind="wreath-cyclic", p=251,
+        base=ConstructionSpec(kind="extraspecial-exponent-p", p=251, l=1))
     assert len(str(predicted_order(spec))) == 1810
 
 

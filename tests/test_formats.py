@@ -380,6 +380,25 @@ def test_load_group_sniffs_a_table_without_extension(tmp_path, dihedral8):
     assert g.generators == ref.generators
 
 
+def test_load_group_sniffs_as_many_generators_as_the_degree(tmp_path):
+    # Three degree-3 generators make 3 rows of 3 entries, but the first is
+    # not 0 1 2, the identity row every table starts with.
+    g, desc = load_group(_write(tmp_path, "s3.txt",
+                                "3\n1 2 0\n0 2 1\n1 0 2\n"))
+    assert (g.order, desc["kind"]) == (6, "permutation-file")
+
+
+def test_load_group_sniffs_a_table_whose_identity_row_is_padded(
+        tmp_path, dihedral8):
+    lines = cayley_table_text(dihedral8).splitlines()
+    lines[1] = "0" + lines[1]  # row 0 written "00 1 2 ..."
+    g, desc = load_group(_write(tmp_path, "d8.txt", "\n".join(lines) + "\n"))
+    ref = load_group(_write(tmp_path, "d8.cayley",
+                            cayley_table_text(dihedral8)))[0]
+    assert desc["kind"] == "cayley-table-file"
+    assert g._table == ref._table
+
+
 def test_load_group_reports_a_short_later_row_of_a_sniffed_table(
         tmp_path, dihedral8):
     lines = cayley_table_text(dihedral8).splitlines()

@@ -34,15 +34,12 @@ from classprod import (
 )
 from classprod.cli import main
 from classprod.verify import (
-    REPRODUCTION_CHECKS,
     SPECTRUM_LABEL,
     THEOREM_LABELS,
-    corpus_theorem_report,
     merge_spectrum_reports,
-    reproduction_plan,
-    run_reproduction_check,
     spectrum_for_group,
     verify_corpus,
+    verify_group,
 )
 
 from conftest import brute_class_partition, brute_eta, pair_sweep
@@ -280,9 +277,18 @@ def test_clause_agreement_on_squares(heisenberg27, wreath81):
 # reproduction checks
 
 
-def test_reproduction_plan_names():
-    names = [name for name, _, _ in reproduction_plan(3)]
-    assert names == list(REPRODUCTION_CHECKS)
+def test_reproduce_examples_reports_the_four_checks_in_order():
+    wreath = ConstructionSpec(kind="wreath-cyclic", p=5,
+                              base=ConstructionSpec(kind="cyclic", n=5))
+    wreath_es = ConstructionSpec(
+        kind="wreath-cyclic", p=5,
+        base=ConstructionSpec(kind="extraspecial-exponent-p", p=5, l=1))
+    assert [(r.theorem, r.group) for r in reproduce_examples(5)] == [
+        ("Prop4.1", wreath.to_plain()),
+        ("Prop4.1", wreath_es.to_plain()),
+        ("Remark4.2", wreath.to_plain()),
+        ("Prop4.3", ConstructionSpec(kind="affine-wreath", p=5).to_plain()),
+    ]
 
 
 def test_reproduce_p3_flags_only_the_shifted_pair():
@@ -347,18 +353,13 @@ def test_corpus_sweeps_refuse_bad_input_before_forking(monkeypatch):
 
 
 def test_single_check_wreath_square():
-    report = run_reproduction_check("wreath-square", 3)
+    report = reproduce_examples(3)[0]
     assert report.consistent
     assert report.theorem == "Prop4.1"
 
 
-def test_single_check_unknown_name():
-    with pytest.raises(InvalidParameterError):
-        run_reproduction_check("no-such-check", 3)
-
-
 def test_affine_square_check_verifies_sizes():
-    report = run_reproduction_check("affine-square", 3)
+    report = reproduce_examples(3)[3]
     assert report.consistent
     g = build(ConstructionSpec(kind="affine-wreath", p=3))
     from classprod import class_product, distinguished_element
@@ -393,9 +394,9 @@ def test_corpus_sweeps_identical_across_jobs(sweep):
     assert [r.to_record() for r in sweep(2)] == serial
 
 
-def test_corpus_theorem_report_single():
+def test_verify_group_on_one_corpus_spec():
     spec = ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=1)
-    report = corpus_theorem_report("b", spec, 3, 200_000)
+    report = verify_group("b", build(spec), 3, spec.to_plain())
     assert report.consistent
     assert report.group == spec.to_plain()
 
@@ -423,9 +424,8 @@ def test_spectrum_witnesses_are_recomputable(wreath81):
 
 def test_spectrum_merge_is_additive():
     specs = [s for s in __import__("classprod").corpus(3, 243)]
-    reports = [
-        corpus_theorem_report("spectrum", s, 3, 200_000)
-        for s in specs]
+    reports = [verify_group("spectrum", build(s), 3, s.to_plain())
+               for s in specs]
     whole = merge_spectrum_reports(3, 243, reports)
     split = merge_spectrum_reports(
         3, 243,
@@ -671,7 +671,7 @@ def test_corpus_runner_hands_out_each_distinct_spec_once(run, p, max_order,
     real = verify_mod._map_jobs
 
     def recorded(worker, args_list, jobs):
-        handed.extend(spec for _, spec, _, _ in args_list)
+        handed.extend(spec for spec, in args_list)
         return real(worker, args_list, jobs)
 
     monkeypatch.setattr(verify_mod, "_map_jobs", recorded)
