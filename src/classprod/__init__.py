@@ -11,17 +11,11 @@ from .classes import (
     ClassPartition,
     CommutatorSet,
     ConjugacyClass,
-    central_translate_classes,
-    check_product_identity,
     class_partition,
     class_product,
     commutator_set,
     conjugacy_class,
-    decompose_invariant_set,
-    eta,
     eta_one_criterion,
-    quadratic_image,
-    quadratic_image_size,
 )
 from .constructions import (
     ConstructionSpec,
@@ -40,8 +34,6 @@ from .errors import (
     InvalidParameterError,
     InvalidPrimeError,
     NotAPGroupError,
-    NotCentralError,
-    NotNormalError,
     PreconditionViolatedError,
     UnknownGeneratorError,
     UnsupportedRoleError,
@@ -56,15 +48,12 @@ from .groups import (
     SubgroupView,
     center,
     centralizer,
-    closure,
-    quotient_group,
 )
 from .verify import (
     SpectrumEntry,
     TheoremReport,
     Violation,
     eta_spectrum,
-    parse_report_record,
     reproduce_examples,
     verify_size_two,
     verify_theorem_a,
@@ -93,8 +82,6 @@ __all__ = [
     "InvalidParameterError",
     "InvalidPrimeError",
     "NotAPGroupError",
-    "NotCentralError",
-    "NotNormalError",
     "PermutationGroup",
     "PreconditionViolatedError",
     "SpectrumEntry",
@@ -107,25 +94,16 @@ __all__ = [
     "build",
     "center",
     "centralizer",
-    "central_translate_classes",
-    "check_product_identity",
     "class_partition",
     "class_product",
-    "closure",
     "commutator_set",
     "conjugacy_class",
     "corpus",
-    "decompose_invariant_set",
     "distinguished_element",
-    "eta",
     "eta_one_criterion",
     "eta_spectrum",
     "parse_element_word",
-    "parse_report_record",
     "predicted_order",
-    "quadratic_image",
-    "quadratic_image_size",
-    "quotient_group",
     "reproduce_examples",
     "verify_size_two",
     "verify_theorem_a",

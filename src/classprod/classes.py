@@ -17,12 +17,10 @@ from .errors import (
     EnumerationCapError,
     GroupMismatchError,
     InvalidParameterError,
-    NotCentralError,
     PreconditionViolatedError,
 )
 from .constructions import DirectProductGroup
 from .groups import Element, GroupHandle, SubgroupView, _reach, centralizer
-from .util import _require_odd_prime
 
 
 class ConjugacyClass:
@@ -264,22 +262,6 @@ class ClassDecomposition:
         return tuple(c.size for c in self.classes)
 
 
-def _decompose_raw(g: GroupHandle,
-                   members: set[bytes]) -> tuple[ConjugacyClass, ...]:
-    """Split a raw G-invariant set into classes.
-
-    The classes meeting a set cover it exactly if and only if the set is
-    closed under conjugation, so one count checks the precondition.
-    """
-    classes = _classes_meeting(g, members)
-    total = sum(c.size for c in classes)
-    if total != len(members):
-        raise PreconditionViolatedError(
-            f"classes cover {total} elements but the set has "
-            f"{len(members)}: it is not closed under conjugation")
-    return classes
-
-
 def _central_commutators(part: ClassPartition,
                          y: ConjugacyClass) -> frozenset[bytes] | None:
     """[y,G] = y^-1 * y^G when y is a class of ``part`` and [y,G] is central.
@@ -357,47 +339,9 @@ def class_product(x: ConjugacyClass, y: ConjugacyClass) -> ClassDecomposition:
     return d
 
 
-def decompose_invariant_set(g: GroupHandle,
-                            members: Iterable[Element]) -> ClassDecomposition:
-    """Decompose an arbitrary conjugation-closed set into classes."""
-    raw = set()
-    for x in members:
-        g._check(x)
-        raw.add(x)
-    if not raw:
-        raise InvalidParameterError("cannot decompose an empty set")
-    return ClassDecomposition(g, _decompose_raw(g, raw))
-
-
-def eta(g: GroupHandle, a: Element, b: Element) -> int:
-    """Number of distinct classes in a^G * b^G."""
-    return class_product(conjugacy_class(g, a), conjugacy_class(g, b)).eta
-
-
-def quadratic_image(r: int, s: int, t: int, p: int) -> frozenset[int]:
-    """Values of r*i^2 + s*i + t as i runs over the integers mod p."""
-    _require_odd_prime(p, "quadratic_image")
-    return frozenset((r * i * i + s * i + t) % p for i in range(p))
-
-
-def quadratic_image_size(r: int, s: int, t: int, p: int) -> int:
-    """Size of the image of i -> r*i^2 + s*i + t mod p, in closed form.
-
-    A constant map hits 1 value and a degenerate-linear map all p; an
-    honest quadratic hits exactly (p+1)/2 values, since each value is
-    taken by i and -i - s/r, which coincide only at the vertex.
-    """
-    _require_odd_prime(p, "quadratic_image_size")
-    if r % p == 0:
-        return 1 if s % p == 0 else p
-    return (p + 1) // 2
-
-
 def as_subgroup(g: GroupHandle, members: Iterable[Element]) -> SubgroupView | None:
     """View a set as a subgroup if it is one, else None (no closure taken)."""
     raw = sorted(set(members))
-    for b in raw:
-        g._check(b)
     if g.identity not in raw:
         return None
     rawset = set(raw)
@@ -435,48 +379,3 @@ def eta_one_criterion(g: GroupHandle, a: Element, b: Element) -> bool:
         return False
     view = as_subgroup(g, kab)
     return view is not None and view.is_normal
-
-
-def central_translate_classes(x: ConjugacyClass,
-                              n_set: SubgroupView) -> tuple[ConjugacyClass, ...]:
-    """The distinct classes among {x * n : n in the central subgroup}.
-
-    Every member of ``n_set`` must commute with all of G; then x*n is
-    itself a class ((bn)^G for b the representative) and two translates
-    coincide exactly when the two n differ by a commutator of b.  Split
-    by the helper the sweep and ``class_product`` use too.
-    """
-    g = x.group
-    if n_set.parent is not g:
-        raise GroupMismatchError("subgroup and class live in different groups")
-    mul = g._mul
-    for n in sorted(n_set.elements):
-        for gen in g.generators:
-            if mul(n, gen) != mul(gen, n):
-                raise NotCentralError(
-                    f"subgroup member {n.hex()} does not commute with "
-                    f"generator {gen.hex()}")
-    return _central_translates(g, x.representative, n_set.elements)
-
-
-def check_product_identity(g: GroupHandle, a: Element, b: Element) -> bool:
-    """Check a^G b^G = ab * [a^b, G] * [b, G] elementwise.
-
-    The identity holds in every finite group; it is exposed as a
-    cross-check because a wrong multiplication convention in a backend
-    breaks it immediately.  Like ``class_product``, it raises the cap
-    error before it builds either side if the product may exceed the cap.
-    """
-    g._check(a)
-    g._check(b)
-    mul = g._mul
-    ab = mul(a, b)
-    a_conj_b = g._conj(a, b)
-    xa, xb = _orbit_raw(g, a), _orbit_raw(g, b)
-    # |[a^b,G]| = |a^G| and |[b,G]| = |b^G|, so one bound covers both sides
-    _product_bound(g, len(xa), len(xb))
-    left = {mul(u, v) for u in xa for v in xb}
-    ka = commutator_set(g, a_conj_b).elements
-    kb = commutator_set(g, b).elements
-    right = {mul(ab, mul(u, v)) for u in ka for v in kb}
-    return left == right

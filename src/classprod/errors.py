@@ -25,10 +25,6 @@ class EnumerationCapError(ClassprodError):
     code = "enumeration-too-large"
 
 
-class NotNormalError(ClassprodError):
-    code = "not-normal"
-
-
 class InvalidParameterError(ClassprodError):
     code = "invalid-parameter"
 
@@ -61,10 +57,6 @@ class PreconditionViolatedError(ClassprodError):
     """A stated hypothesis of a criterion does not hold for the inputs."""
 
     code = "precondition-violated"
-
-
-class NotCentralError(ClassprodError):
-    code = "not-central"
 
 
 class FormatError(ClassprodError):

@@ -6,9 +6,9 @@ element is that ``bytes`` value everywhere, public API included
 (:data:`Element` names the type).  Orbit and closure code upstream can
 therefore dedup with plain hash sets and pick canonical representatives
 by byte order, independent of the backend.
-Every breadth-first closure (conjugation orbits, generated subgroups,
-permutation groups) runs through :func:`_reach`, which also holds the
-one enumeration-cap check for all of them.  The Cayley-table walk
+Every breadth-first closure (conjugation orbits, permutation groups)
+runs through :func:`_reach`, which also holds the one enumeration-cap
+check for both.  The Cayley-table walk
 derives each row where it first reaches it and then checks generator
 rows against generator columns, so it has its own (:func:`_walk_table`).
 
@@ -26,19 +26,13 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     EnumerationCapError,
     ForeignElementError,
-    GroupMismatchError,
     InvalidParameterError,
-    NotNormalError,
 )
 from .util import int_byte_width
 
 #: Full-enumeration operations refuse to run on groups larger than this
 #: unless the caller raises the cap explicitly.
 DEFAULT_ORDER_CAP = 200_000
-
-#: A quotient materializes an explicit multiplication table, which is
-#: quadratic in the quotient order; keep that honest.
-QUOTIENT_TABLE_CAP = 4096
 
 
 def _reach(start: Iterable, step, cap: int, what: str) -> set:
@@ -445,13 +439,15 @@ class SubgroupView:
     """An enumerated subgroup of a parent group.
 
     Callers must pass a multiplicatively closed set containing the
-    identity (:func:`closure` builds one); only cheap smell tests run
+    identity; only membership in the parent and cheap smell tests run
     here.  Normality is decided against the parent's generators and
     cached.
     """
 
     def __init__(self, parent: GroupHandle, elements: Iterable[Element]):
         elements = frozenset(elements)
+        for x in elements:
+            parent._check(x)
         if parent.identity not in elements:
             raise InvalidParameterError("a subgroup must contain the identity")
         if parent.order % len(elements) != 0:
@@ -488,24 +484,6 @@ class SubgroupView:
         return f"<SubgroupView order={len(self.elements)} of {self.parent!r}>"
 
 
-def closure(g: GroupHandle, seed: Iterable[Element]) -> SubgroupView:
-    """Subgroup generated by ``seed``, via breadth-first products.
-
-    A finite set closed under multiplication is a subgroup, so products
-    against the seed elements suffice; inverses appear as powers.
-    """
-    seeds = sorted(set(seed))
-    if not seeds:
-        raise InvalidParameterError("closure needs a nonempty seed")
-    for s in seeds:
-        g._check(s)
-    mul = g._mul
-    known = _reach(sorted({g.identity, *seeds}),
-                   lambda a: (mul(a, s) for s in seeds),
-                   g.order_cap, "subgroup closure")
-    return SubgroupView(g, known)
-
-
 def centralizer(g: GroupHandle, a: Element) -> SubgroupView:
     """All x with a^x = a.  Needs full enumeration, so the cap applies."""
     g._check(a)
@@ -519,61 +497,3 @@ def center(g: GroupHandle) -> SubgroupView:
     hits = [b for b in g._raw_elements()
             if all(g._conj(b, x) == b for x in gens)]
     return SubgroupView(g, hits)
-
-
-class QuotientGroup(CayleyTableGroup):
-    """Cayley-table group on the cosets of a normal subgroup.
-
-    Each coset is represented by its minimum element encoding; cosets are
-    indexed with the identity coset first and the rest in ascending
-    representative order, so the table is the same on every run.
-    ``project`` maps a parent element to its coset.
-    """
-
-    def __init__(self, parent: GroupHandle, subgroup: SubgroupView,
-                 table, coset_reps: Sequence[bytes], coset_of: dict[bytes, int]):
-        super().__init__(table, order_cap=parent.order_cap)
-        self.parent = parent
-        self.subgroup = subgroup
-        self._coset_reps = tuple(coset_reps)
-        self._coset_of = coset_of
-
-    def project(self, x: Element) -> Element:
-        self.parent._check(x)
-        return self._enc[self._coset_of[x]]
-
-    def coset_representative(self, q: Element) -> Element:
-        """The minimum parent element of the coset ``q``."""
-        self._check(q)
-        return self._coset_reps[self._dec[q]]
-
-
-def quotient_group(g: GroupHandle, n: SubgroupView) -> QuotientGroup:
-    """The quotient of ``g`` by the normal subgroup ``n``."""
-    if n.parent is not g:
-        raise GroupMismatchError("subgroup does not belong to this group")
-    if not n.is_normal:
-        raise NotNormalError(
-            f"subgroup of order {len(n)} is not normal; cannot form a quotient")
-    elems = g._raw_elements()
-    q = g.order // len(n)
-    if q > QUOTIENT_TABLE_CAP:
-        raise EnumerationCapError(
-            f"quotient order {q} exceeds the table cap {QUOTIENT_TABLE_CAP}")
-    nraw = sorted(n.elements)
-    coset_of_elem: dict[bytes, int] = {}
-    reps: list[bytes] = []
-    for x in elems:  # ascending, so the first member seen is the coset minimum
-        if x in coset_of_elem:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for h in nraw:
-            coset_of_elem[g._mul(x, h)] = idx
-    ident_idx = coset_of_elem[g.identity]
-    order_map = [ident_idx] + [i for i in range(len(reps)) if i != ident_idx]
-    new_index = {old: new for new, old in enumerate(order_map)}
-    reps = [reps[old] for old in order_map]
-    coset_of_elem = {x: new_index[i] for x, i in coset_of_elem.items()}
-    table = [[coset_of_elem[g._mul(a, b)] for b in reps] for a in reps]
-    return QuotientGroup(g, n, table, reps, coset_of_elem)

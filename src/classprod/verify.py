@@ -50,14 +50,12 @@ from .constructions import (
 )
 from .errors import (
     ClassprodError,
-    FormatError,
     InvalidParameterError,
     NotAPGroupError,
 )
 from .groups import DEFAULT_ORDER_CAP, GroupHandle
 from .util import _require_odd_prime
 
-THEOREM_LABELS = ("A", "B", "Prop2.1", "Prop4.1", "Prop4.3", "Remark4.2")
 SPECTRUM_LABEL = "spectrum"
 
 
@@ -117,58 +115,6 @@ class TheoremReport:
                          for k in sorted(self.spectrum)},
             "elapsed_ms": self.elapsed_ms if include_timing else 0,
         }
-
-
-def _shaped(value, kind: type, what: str, fields: set | None = None):
-    """``value`` if its type is exactly ``kind``, so no bool passes as an
-    int, and an object's field names are exactly ``fields`` when given."""
-    if type(value) is not kind:
-        raise FormatError(f"{what} must be {kind.__name__}, got {value!r}")
-    if fields is not None and set(value) != fields:
-        raise FormatError(f"{what} fields differ: missing "
-                          f"{sorted(fields - set(value))}, unknown "
-                          f"{sorted(set(value) - fields)}")
-    return value
-
-
-def parse_report_record(obj: dict) -> TheoremReport:
-    """Parse one emitted report record back into a TheoremReport.
-
-    Shipped so every record the tool writes can be round-tripped; raises
-    a file-format error on any shape mismatch.
-    """
-    _shaped(obj, dict, "report record",
-            {"theorem", "group", "p", "pairs_checked", "violations",
-             "spectrum", "elapsed_ms"})
-    if obj["theorem"] not in THEOREM_LABELS + (SPECTRUM_LABEL,):
-        raise FormatError(f"unknown theorem label {obj['theorem']!r}")
-    violations = []
-    for v in _shaped(obj["violations"], list, "violations"):
-        _shaped(v, dict, "violation", {"a", "b", "eta", "expected"})
-        violations.append(Violation(_shaped(v["a"], str, "a"),
-                                    _shaped(v["b"], str, "b"),
-                                    _shaped(v["eta"], int, "eta"),
-                                    _shaped(v["expected"], str, "expected")))
-    spectrum = {}
-    for key, entry in _shaped(obj["spectrum"], dict, "spectrum").items():
-        try:
-            eta = int(key) if type(key) is str and key.isdecimal() else None
-        except ValueError:  # more digits than int() converts
-            eta = None
-        if eta is None or str(eta) != key:
-            raise FormatError(f"spectrum key {key!r} is not a decimal eta")
-        _shaped(entry, dict, f"spectrum entry {key}", {"count", "witness"})
-        witness = _shaped(entry["witness"], dict, f"witness {key}",
-                          {"group", "a", "b"})
-        spectrum[eta] = SpectrumEntry(
-            _shaped(entry["count"], int, "count"),
-            _shaped(witness["group"], dict, "witness group"),
-            _shaped(witness["a"], str, "a"), _shaped(witness["b"], str, "b"))
-    p = obj["p"] if obj["p"] is None else _shaped(obj["p"], int, "p")
-    return TheoremReport(
-        obj["theorem"], _shaped(obj["group"], dict, "group"), p,
-        _shaped(obj["pairs_checked"], int, "pairs_checked"), violations,
-        spectrum, _shaped(obj["elapsed_ms"], int, "elapsed_ms"))
 
 
 def _ms(t0: float) -> int:

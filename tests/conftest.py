@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's orbit and partition
 machinery: classes are computed by conjugating with every group element,
 centralizers by a full sweep, and the dihedral reference table is built
 straight from the presentation.  Tests compare the fast paths against
-these slow but obviously correct computations.
+these slow but obviously correct computations.  The shorthands under
+"checks through the library's own classes and products" are not oracles:
+they state an identity, or rebuild a report, with the library itself.
 """
 
 from __future__ import annotations
@@ -16,10 +18,14 @@ import pytest
 
 import classprod.verify as verify_mod
 from classprod import (
+    CayleyTableGroup,
     ConstructionSpec,
     Element,
     build,
     class_partition,
+    class_product,
+    commutator_set,
+    conjugacy_class,
 )
 from classprod.formats import cayley_table_text
 from classprod.verify import SpectrumEntry, TheoremReport, Violation
@@ -75,6 +81,83 @@ def brute_eta(g, a: Element, b: Element) -> int:
         product -= brute_class(g, x)
         count += 1
     return count
+
+
+def brute_closure(g, seed) -> frozenset[Element]:
+    """The subgroup generated by ``seed``: the set grown by its own
+    products until it stops growing."""
+    out = frozenset({g.identity, *seed})
+    while True:
+        grown = out | {g.multiply(x, y) for x in out for y in out}
+        if grown == out:
+            return out
+        out = grown
+
+
+def brute_central_translates(g, a: Element,
+                             central) -> set[frozenset[Element]]:
+    """The distinct classes brute_class(a*n) for n in a central set."""
+    return {brute_class(g, g.multiply(a, n)) for n in central}
+
+
+def quotient(g, normal):
+    """G/N for a normal subgroup N, and the projection G -> G/N.
+
+    The cosets are numbered as first met walking the identity and then
+    every element in ascending order: the identity's coset is 0 and the
+    rest follow by least member.  G/N is the Cayley table of the cosets'
+    products, so its own walk checks that it is a group.
+    """
+    normal = sorted(normal)
+    coset_of: dict[Element, int] = {}
+    reps = []
+    for x in (g.identity, *g.elements()):
+        if x not in coset_of:
+            coset_of.update(dict.fromkeys(
+                (g.multiply(x, n) for n in normal), len(reps)))
+            reps.append(x)
+    q = CayleyTableGroup([[coset_of[g.multiply(x, y)] for y in reps]
+                          for x in reps])
+    cosets = q.elements()
+    return q, lambda x: cosets[coset_of[x]]
+
+
+# ---------------------------------------------------------------------------
+# checks through the library's own classes and products
+
+
+def eta(g, a: Element, b: Element) -> int:
+    """Number of classes in a^G b^G, by ``class_product``."""
+    return class_product(conjugacy_class(g, a), conjugacy_class(g, b)).eta
+
+
+def check_product_identity(g, a: Element, b: Element) -> bool:
+    """Whether a^G b^G = ab * [a^b, G] * [b, G] elementwise.
+
+    The identity holds in every finite group, so a backend with a wrong
+    multiplication convention breaks it at once.
+    """
+    mul = g._mul
+    ab = mul(a, b)
+    left = {mul(u, v) for u in conjugacy_class(g, a).members
+            for v in conjugacy_class(g, b).members}
+    right = {mul(ab, mul(u, v))
+             for u in commutator_set(g, g.conjugate(a, b)).elements
+             for v in commutator_set(g, b).elements}
+    return left == right
+
+
+def report_from_record(obj: dict) -> TheoremReport:
+    """The report a record was written from; no shape is checked."""
+    spectrum = {int(key): SpectrumEntry(entry["count"],
+                                        entry["witness"]["group"],
+                                        entry["witness"]["a"],
+                                        entry["witness"]["b"])
+                for key, entry in obj["spectrum"].items()}
+    return TheoremReport(obj["theorem"], obj["group"], obj["p"],
+                         obj["pairs_checked"],
+                         [Violation(**v) for v in obj["violations"]],
+                         spectrum, obj["elapsed_ms"])
 
 
 def pair_sweep(theorem, p, desc, g, size, square, rule):

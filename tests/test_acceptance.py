@@ -22,31 +22,28 @@ from classprod import (
     ConstructionSpec,
     build,
     center,
-    central_translate_classes,
-    check_product_identity,
     class_partition,
     class_product,
-    closure,
     commutator_set,
     conjugacy_class,
     corpus,
     distinguished_element,
-    eta,
-    quadratic_image,
-    quadratic_image_size,
-    quotient_group,
     verify_size_two,
     verify_theorem_a,
     verify_theorem_b,
 )
+from classprod.classes import _central_translates
 from classprod.cli import main
 
 from conftest import (
     brute_class,
+    brute_closure,
     brute_eta,
     brute_quadratic_image,
+    check_product_identity,
+    eta,
+    quotient,
     random_pairs,
-    sample_elements,
 )
 
 
@@ -137,12 +134,28 @@ def test_shifted_pair_reproduction_p3():
         f"so eta = {d.eta}; the p = 5 instance does give eta = 4")
 
 
-def test_shifted_pair_reproduction_p5():
-    spec = _wreath(5, _cyc(5))
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_shifted_pair_reproduction(p):
+    """eta(a^G b^G) = p - 1 for every p >= 5, in classes of size p.
+
+    In C_p wr C_p the base is abelian, so the class of a base element v
+    is its set of rotations, and a^G b^G is the set of
+    rot^i(e_0) + rot^j(e_0 + e_1).  Its classes are the rotation orbits
+    of e_d + e_0 + e_1, one for each offset d = i - j mod p: d = 0 and
+    d = 1 give 2e_0 + e_1 and e_0 + 2e_1, two orbits; d = 2, ..., p - 1
+    give the three-point sets {0, 1, d}, of which only {0, 1, 2} and
+    {0, 1, p-1} are rotations of each other, since the other gap
+    sequences differ.  So eta = 2 + (p - 3) = p - 1.  At p = 3 the only
+    such offset is d = 2 = p - 1, so nothing merges, and its vector
+    (1, 1, 1) is central: eta = 3, as the test above records.
+    """
+    spec = _wreath(p, _cyc(p))
     g = build(spec)
     a = distinguished_element(spec, "a-standard")
     b = distinguished_element(spec, "b-double")
-    assert eta(g, a, b) == 4
+    d = class_product(conjugacy_class(g, a), conjugacy_class(g, b))
+    assert d.eta == p - 1
+    assert d.sizes() == (p,) * (p - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +211,17 @@ def test_two_group_size_two_pairs():
 
 
 def test_quadratic_image_oracle():
+    # r*i^2 + s*i + t mod p takes 1 value when constant and p when
+    # linear; a true quadratic takes each value at i and -i - s/r, which
+    # coincide only at the vertex, so it takes (p+1)/2
     t0 = time.monotonic()
-    for p in (3, 5, 7, 11):
+    for p in (3, 5, 7, 11, 13):
         for r, s, t in itertools.product(range(p), repeat=3):
-            image = quadratic_image(r, s, t, p)
-            oracle = brute_quadratic_image(r, s, t, p)
-            assert image == oracle, (p, r, s, t)
-            size = quadratic_image_size(r, s, t, p)
-            assert size == len(oracle)
-            assert size == 1 or (p + 1) // 2 <= size <= p, (p, r, s, t)
+            size = len(brute_quadratic_image(r, s, t, p))
+            if r:
+                assert size == (p + 1) // 2, (p, r, s, t)
+            else:
+                assert size == (1 if s == 0 else p), (p, r, s, t)
     elapsed = time.monotonic() - t0
     assert elapsed < 10, f"quadratic-image sweep took {elapsed:.1f}s"
 
@@ -228,19 +243,19 @@ def test_identity_central_translate_count():
                  ConstructionSpec(kind="direct-product",
                                   factors=(_es(3, 1), _cyc(3)))):
         g = build(spec)
-        z = center(g)
+        z = sorted(center(g).elements)
         subgroups = []
         for k in range(len(z) + 1):
-            for seed in itertools.combinations(sorted(z.elements), k):
-                sub = closure(g, seed or [g.identity])
-                if all(sub.elements != s.elements for s in subgroups):
+            for seed in itertools.combinations(z, k):
+                sub = brute_closure(g, seed)
+                if sub not in subgroups:
                     subgroups.append(sub)
         for cls in class_partition(g):
             b = cls.representative
             commutators = commutator_set(g, b).elements
             for n_set in subgroups:
-                stab = sum(1 for n in n_set.elements if n in commutators)
-                translates = central_translate_classes(cls, n_set)
+                stab = sum(1 for n in n_set if n in commutators)
+                translates = _central_translates(g, b, n_set)
                 assert len(translates) == len(n_set) // stab, (spec, b)
 
 
@@ -277,9 +292,9 @@ def test_identity_quotient_monotonicity():
         z = center(g)
         if len(z) == g.order:
             continue  # abelian: the quotient is trivial anyway
-        q = quotient_group(g, z)
+        q, project = quotient(g, z.elements)
         for a, b in random_pairs(g, 200, seed=31):
-            assert eta(q, q.project(a), q.project(b)) <= eta(g, a, b), spec
+            assert eta(q, project(a), project(b)) <= eta(g, a, b), spec
 
 
 # ---------------------------------------------------------------------------

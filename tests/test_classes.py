@@ -1,46 +1,39 @@
 """Conjugacy classes, class products, eta, and the structural criteria."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from classprod import (
     CayleyTableGroup,
     ConstructionSpec,
     EnumerationCapError,
-    EvenPrimeError,
     GroupMismatchError,
     InvalidParameterError,
-    InvalidPrimeError,
     PreconditionViolatedError,
     build,
     center,
     centralizer,
-    central_translate_classes,
-    check_product_identity,
     class_partition,
     class_product,
-    closure,
     commutator_set,
     conjugacy_class,
     corpus,
-    decompose_invariant_set,
-    eta,
     eta_one_criterion,
-    quadratic_image,
-    quadratic_image_size,
 )
 from classprod.classes import (
     ConjugacyClass,
     _central_commutators,
-    _decompose_raw,
+    _central_translates,
+    _classes_meeting,
     as_subgroup,
 )
 
 from conftest import (
     brute_class,
     brute_class_partition,
+    brute_closure,
     brute_eta,
-    brute_quadratic_image,
+    check_product_identity,
+    eta,
     sample_elements,
 )
 
@@ -216,10 +209,8 @@ def test_class_product_past_the_cap_raises():
     g = build(BIG_WREATH, order_cap=1000)
     x = conjugacy_class(g, g.generators[0])
     assert x.size == 49
-    with pytest.raises(EnumerationCapError):
-        class_product(x, x)
     with pytest.raises(EnumerationCapError, match="may hold 2401 elements"):
-        check_product_identity(g, g.generators[0], g.generators[0])
+        class_product(x, x)
 
 
 def test_orbit_and_product_fit_the_default_cap():
@@ -237,10 +228,12 @@ GATE_GROUPS = ([(3, spec) for spec in corpus(3, 729)]
 
 
 def _set_path_classes(x, y):
-    """The classes of the whole product set x * y, with its cover count."""
+    """The classes of the whole product set x * y, which cover it."""
     g = x.group
-    return _decompose_raw(
-        g, {g._mul(u, v) for u in x.members for v in y.members})
+    members = {g._mul(u, v) for u in x.members for v in y.members}
+    classes = _classes_meeting(g, members)
+    assert sum(c.size for c in classes) == len(members)
+    return classes
 
 
 @pytest.mark.parametrize("p,spec", GATE_GROUPS,
@@ -403,62 +396,6 @@ def test_eta_is_symmetric(heisenberg27):
             assert eta(heisenberg27, a, b) == eta(heisenberg27, b, a)
 
 
-def test_decompose_invariant_set_whole_group(dihedral8):
-    d = decompose_invariant_set(dihedral8, dihedral8.elements())
-    assert d.eta == len(class_partition(dihedral8))
-
-
-def test_decompose_invariant_set_rejects_an_empty_set(dihedral8):
-    with pytest.raises(InvalidParameterError,
-                       match="^cannot decompose an empty set$"):
-        decompose_invariant_set(dihedral8, [])
-
-
-@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
-def test_decompose_invariant_set_rejects_partial_class(cached):
-    g = build(ConstructionSpec(kind="dihedral", n=8))
-    if cached:
-        class_partition(g)
-    rot = g.generators[0]
-    cls = conjugacy_class(g, rot)
-    broken = set(cls.members)
-    broken.pop()
-    broken.add(g.identity)
-    with pytest.raises(PreconditionViolatedError,
-                       match="not closed under conjugation"):
-        decompose_invariant_set(g, broken)
-    assert (g._partition is not None) == cached
-
-
-# ---------------------------------------------------------------------------
-# quadratic image
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([3, 5, 7, 11, 13]),
-       st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
-def test_quadratic_image_matches_enumeration(p, r, s, t):
-    assert quadratic_image(r, s, t, p) == brute_quadratic_image(r, s, t, p)
-    assert quadratic_image_size(r, s, t, p) == len(
-        brute_quadratic_image(r, s, t, p))
-
-
-def test_quadratic_image_size_boundaries():
-    # constant, linear, and true quadratic cases at p = 7
-    assert quadratic_image_size(0, 0, 5, 7) == 1
-    assert quadratic_image_size(0, 3, 5, 7) == 7
-    assert quadratic_image_size(1, 0, 0, 7) == 4
-
-
-def test_quadratic_image_rejects_bad_primes():
-    with pytest.raises(EvenPrimeError):
-        quadratic_image(1, 1, 1, 2)
-    with pytest.raises(InvalidPrimeError):
-        quadratic_image(1, 1, 1, 9)
-    with pytest.raises(InvalidPrimeError):
-        quadratic_image_size(1, 1, 1, 1)
-
-
 # ---------------------------------------------------------------------------
 # subgroup recognition and the eta = 1 criterion
 
@@ -551,7 +488,7 @@ def test_central_translates_of_noncentral_class(heisenberg27):
     a = heisenberg27.generators[0]
     cls = conjugacy_class(heisenberg27, a)
     z = center(heisenberg27)
-    translates = central_translate_classes(cls, z)
+    translates = _central_translates(heisenberg27, a, z.elements)
     # [a,G] is the whole center here, so all translates coincide
     assert len(translates) == 1
 
@@ -565,8 +502,8 @@ def test_central_translates_trivial_intersection():
     g = build(spec)
     a = g.generators[0]
     cls = conjugacy_class(g, a)
-    tail = closure(g, [g.generators[-1]])
-    translates = central_translate_classes(cls, tail)
+    tail = brute_closure(g, [g.generators[-1]])
+    translates = _central_translates(g, a, tail)
     assert len(translates) == 3
     for t in translates:
         assert t.size == cls.size
@@ -585,10 +522,10 @@ def test_central_translates_are_the_partitions_own_classes():
     fresh = build(ES31_C3)
     z, fresh_z = center(g), center(fresh)
     for cls in part:
-        translates = central_translate_classes(cls, z)
+        translates = _central_translates(g, cls.representative, z.elements)
         assert all(t is part.class_of(t.representative) for t in translates)
-        again = central_translate_classes(
-            conjugacy_class(fresh, cls.representative), fresh_z)
+        again = _central_translates(fresh, cls.representative,
+                                    fresh_z.elements)
         assert [t.members for t in again] == [t.members for t in translates]
     assert fresh._partition is None
 
@@ -604,26 +541,9 @@ def test_center_orbits_are_the_central_translates_of_their_leaders():
     assert [orbit[0] for orbit in orbits] == sorted(
         (orbit[0] for orbit in orbits), key=lambda c: c.representative)
     for orbit in orbits:
-        assert orbit == central_translate_classes(orbit[0], z)
+        assert orbit == _central_translates(g, orbit[0].representative,
+                                            z.elements)
         assert orbit[0] == min(orbit, key=lambda c: c.representative)
-
-
-def test_central_translates_refuse_another_groups_subgroup():
-    spec = ConstructionSpec(kind="cyclic", n=5)
-    g, h = build(spec), build(spec)
-    with pytest.raises(GroupMismatchError,
-                       match="^subgroup and class live in different groups$"):
-        central_translate_classes(conjugacy_class(g, g.generators[0]),
-                                  center(h))
-
-
-def test_central_translates_require_central_set(dihedral8):
-    from classprod import NotCentralError
-    rot = dihedral8.generators[0]
-    cls = conjugacy_class(dihedral8, rot)
-    sub = closure(dihedral8, [rot])  # order 4, not central
-    with pytest.raises(NotCentralError):
-        central_translate_classes(cls, sub)
 
 
 # ---------------------------------------------------------------------------

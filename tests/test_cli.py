@@ -17,7 +17,9 @@ import classprod
 import classprod.verify as verify_mod
 from classprod import ConstructionSpec, build, center, corpus
 from classprod.cli import build_parser, main
-from classprod.verify import merge_spectrum_reports, parse_report_record
+from classprod.verify import merge_spectrum_reports
+
+from conftest import report_from_record
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +270,7 @@ def test_spectrum_csv_after_a_gap_violation_tallies_every_swept_group(
     assert main(args + ["--format", "csv"]) == 2
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
     merged = merge_spectrum_reports(
-        5, 625, [parse_report_record(r) for r in records])
+        5, 625, [report_from_record(r) for r in records])
     assert rows[1:] == [
         [str(eta), str(e.count),
          json.dumps(e.witness_group, sort_keys=True, separators=(",", ":")),
@@ -678,4 +680,4 @@ def test_readme_error_codes_line_lists_every_code():
                and issubclass(cls, classprod.errors.ClassprodError)}
     defined.add(classprod.errors.IO_ERROR)
     assert sorted(documented) == sorted(defined)
-    assert len(defined) == 16
+    assert len(defined) == 14

@@ -18,12 +18,16 @@ from classprod import (
     center,
     class_partition,
     corpus,
-    quotient_group,
 )
 from classprod.formats import cayley_table_text, load_group
 from classprod.verify import spectrum_for_group
 
-from conftest import dihedral_reference_table, relabelled_table, table_text
+from conftest import (
+    dihedral_reference_table,
+    quotient,
+    relabelled_table,
+    table_text,
+)
 
 
 ES3_2 = ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=2)
@@ -169,7 +173,7 @@ def test_relabelled_corpus_table_loads_as_in_memory(tmp_path, spec):
 
 def test_quotient_and_order_one_tables_take_inverses_in_walk_order(
         tmp_path, wreath81):
-    _assert_walk_inverses(quotient_group(wreath81, center(wreath81)))
+    _assert_walk_inverses(quotient(wreath81, center(wreath81).elements)[0])
     _assert_walk_inverses(CayleyTableGroup([[0]]))
     _assert_walk_inverses(load_group(_write(tmp_path, "one.cayley",
                                             "1\n0\n"))[0])

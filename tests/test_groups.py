@@ -1,4 +1,4 @@
-"""Group backends: arithmetic, validation, subgroups, quotients."""
+"""Group backends: arithmetic, validation, subgroups."""
 
 import re
 from itertools import product
@@ -12,27 +12,25 @@ from classprod import (
     Element,
     EnumerationCapError,
     ForeignElementError,
-    GroupMismatchError,
     InvalidParameterError,
-    NotNormalError,
     PermutationGroup,
     SubgroupView,
     build,
     center,
     centralizer,
-    closure,
     commutator_set,
     conjugacy_class,
     distinguished_element,
     parse_element_word,
-    quotient_group,
 )
+from classprod.groups import _reach
 
 from conftest import (
     assert_group_laws,
     brute_center,
     brute_centralizer,
     brute_class,
+    brute_closure,
     dihedral_reference_table,
     relabelled_table,
     sample_elements,
@@ -454,31 +452,28 @@ def test_orbit_stabilizer_counting(heisenberg27):
 
 def test_closure_of_rotation(dihedral8):
     rot = dihedral8.generators[0]
-    sub = closure(dihedral8, [rot])
+    sub = SubgroupView(dihedral8, brute_closure(dihedral8, [rot]))
     assert len(sub) == 4
     assert sub.is_normal
 
 
-def test_closure_cap_is_checked_per_element():
-    spec = ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=1)
-    full = build(spec, order_cap=27)
-    assert len(closure(full, full.generators)) == 27
-    g = build(spec, order_cap=26)
-    products = []
-    mul = g._mul
+def test_reach_stops_at_the_first_item_past_the_cap():
+    # the walk from 0 by x -> 2x+1, 2x+2 below 7 reaches 0..6 in order
+    yielded = []
 
-    def recording_mul(x, y):
-        products.append(mul(x, y))
-        return products[-1]
+    def step(x):
+        for z in (2 * x + 1, 2 * x + 2):
+            if z < 7:
+                yielded.append(z)
+                yield z
 
-    g._mul = recording_mul
+    assert _reach([0], step, 7, "toy walk") == set(range(7))
+    yielded.clear()
     with pytest.raises(EnumerationCapError,
-                       match="exceeds the enumeration cap 26"):
-        closure(g, g.generators)
-    # the closure stops at the product that first takes it past the cap
-    start = {g.identity, *g.generators}
-    assert len(start.union(products)) == 27
-    assert products[-1] not in start.union(products[:-1])
+                       match="^toy walk exceeds the enumeration cap 5$"):
+        _reach([0], step, 5, "toy walk")
+    # 5 is the sixth item: nothing is stepped or yielded after it
+    assert yielded == [1, 2, 3, 4, 5]
 
 
 def test_permutation_closure_cap_boundary():
@@ -491,7 +486,7 @@ def test_permutation_closure_cap_boundary():
 
 def test_closure_of_reflection_not_normal(dihedral8):
     flip = dihedral8.generators[1]
-    sub = closure(dihedral8, [flip])
+    sub = SubgroupView(dihedral8, brute_closure(dihedral8, [flip]))
     assert len(sub) == 2
     assert not sub.is_normal
 
@@ -501,18 +496,17 @@ def test_subgroup_view_validation(dihedral8):
         SubgroupView(dihedral8, dihedral8.elements()[:3])
 
 
+def test_subgroup_view_refuses_foreign_encodings(cyclic9):
+    # once accepted, after which is_normal answered False
+    with pytest.raises(ForeignElementError):
+        SubgroupView(cyclic9, [cyclic9.identity, b"\xff", b"\xfe"])
+
+
 def test_subgroup_view_needs_the_identity():
     g = build(ConstructionSpec(kind="cyclic", n=5))
     with pytest.raises(InvalidParameterError,
                        match="^a subgroup must contain the identity$"):
         SubgroupView(g, [g.generators[0]])
-
-
-def test_closure_needs_a_seed():
-    g = build(ConstructionSpec(kind="cyclic", n=5))
-    with pytest.raises(InvalidParameterError,
-                       match="^closure needs a nonempty seed$"):
-        closure(g, [])
 
 
 def test_subgroup_lagrange_check(dihedral8):
@@ -522,52 +516,6 @@ def test_subgroup_lagrange_check(dihedral8):
         elems[0] = dihedral8.identity
     with pytest.raises(InvalidParameterError):
         SubgroupView(dihedral8, elems)
-
-
-# ---------------------------------------------------------------------------
-# quotients
-
-
-def test_quotient_by_center(wreath81):
-    z = center(wreath81)
-    q = quotient_group(wreath81, z)
-    assert q.order == 27
-    # projection is a homomorphism
-    for x in sample_elements(wreath81, 10, seed=3):
-        for y in sample_elements(wreath81, 10, seed=4):
-            lhs = q.project(wreath81.multiply(x, y))
-            rhs = q.multiply(q.project(x), q.project(y))
-            assert lhs == rhs
-
-
-def test_quotient_identity_is_subgroup_coset(wreath81):
-    z = center(wreath81)
-    q = quotient_group(wreath81, z)
-    rep = q.coset_representative(q.identity)
-    assert rep in z
-
-
-def test_quotient_requires_normal_subgroup(dihedral8):
-    flip = dihedral8.generators[1]
-    sub = closure(dihedral8, [flip])
-    with pytest.raises(NotNormalError):
-        quotient_group(dihedral8, sub)
-
-
-def test_quotient_rejects_foreign_subgroup(dihedral8, cyclic9):
-    z = center(cyclic9)
-    with pytest.raises(GroupMismatchError):
-        quotient_group(dihedral8, z)
-
-
-def test_quotient_past_the_table_cap_raises():
-    g = build(ConstructionSpec(kind="cyclic", n=8194))
-    half = closure(g, [g.power(g.generators[0], 4097)])
-    assert len(half) == 2
-    with pytest.raises(EnumerationCapError,
-                       match="^quotient order 4097 exceeds the table cap "
-                             "4096$"):
-        quotient_group(g, half)
 
 
 def test_sample_elements_deterministic(wreath81):
@@ -584,7 +532,6 @@ def test_sample_elements_deterministic(wreath81):
 def test_every_public_element_is_its_bytes_encoding(wreath81):
     g = wreath81
     x, y = g.generators[:2]
-    q = quotient_group(g, center(g))
     cls = conjugacy_class(g, y)
     found = {
         "identity": [g.identity],
@@ -598,11 +545,9 @@ def test_every_public_element_is_its_bytes_encoding(wreath81):
         "elements": g.elements(),
         "representative": [cls.representative],
         "members": cls.members,
-        "subgroup": closure(g, [x]).elements,
+        "subgroup": centralizer(g, x).elements,
         "commutator_set": commutator_set(g, y).elements,
         "word": [parse_element_word(g, "g0*g1^2")],
-        "project": [q.project(y)],
-        "coset_representative": [q.coset_representative(q.project(y))],
     }
     for spec, role in [
             (ConstructionSpec(kind="wreath-cyclic", p=3,

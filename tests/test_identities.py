@@ -15,19 +15,22 @@ from classprod import (
     build,
     center,
     centralizer,
-    central_translate_classes,
-    check_product_identity,
     class_partition,
     class_product,
-    closure,
     commutator_set,
     conjugacy_class,
-    eta,
-    quotient_group,
 )
-from classprod.groups import SubgroupView
+from classprod.classes import _central_translates
 
-from conftest import brute_eta, random_pairs, sample_elements
+from conftest import (
+    brute_central_translates,
+    brute_closure,
+    brute_eta,
+    check_product_identity,
+    eta,
+    quotient,
+    random_pairs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +67,11 @@ def test_product_translate_identity_shape(heisenberg27):
 def _central_subgroups(g):
     """All subgroups of the center, by brute closure over subsets."""
     z = sorted(center(g).elements)
-    seen = set()
     out = []
     for k in range(len(z) + 1):
         for seed in itertools.combinations(z, k):
-            sub = closure(g, seed or [g.identity])
-            if sub.elements not in seen:
-                seen.add(sub.elements)
+            sub = brute_closure(g, seed)
+            if sub not in out:
                 out.append(sub)
     return out
 
@@ -89,8 +90,10 @@ def test_central_translate_count(spec):
     for n_set in _central_subgroups(g):
         for b in reps:
             cls = conjugacy_class(g, b)
-            translates = central_translate_classes(cls, n_set)
-            stab = sum(1 for n in n_set.elements
+            translates = _central_translates(g, b, n_set)
+            assert {t.members for t in translates} == \
+                brute_central_translates(g, b, n_set)
+            stab = sum(1 for n in n_set
                        if n in commutator_set(g, b).elements)
             assert len(translates) == len(n_set) // stab
             # every translate is a genuine class of the same size
@@ -103,7 +106,7 @@ def test_central_translates_partition_coset(heisenberg27):
     z = center(g)
     b = g.generators[0]
     cls = conjugacy_class(g, b)
-    translates = central_translate_classes(cls, z)
+    translates = _central_translates(g, b, z.elements)
     union = set()
     for t in translates:
         union |= t.members
@@ -153,23 +156,22 @@ def test_direct_product_eta_multiplicative(left, right):
 ])
 def test_quotient_eta_monotone(spec):
     g = build(spec)
-    z = center(g)
-    q = quotient_group(g, z)
+    q, project = quotient(g, center(g).elements)
     for a, b in random_pairs(g, 60, seed=23):
         upstairs = eta(g, a, b)
-        downstairs = eta(q, q.project(a), q.project(b))
+        downstairs = eta(q, project(a), project(b))
         assert downstairs <= upstairs
 
 
 def test_quotient_class_disjointness_lifts(wreath81):
     # distinct images downstairs force distinct classes upstairs
     g = wreath81
-    q = quotient_group(g, center(g))
+    q, project = quotient(g, center(g).elements)
     part = class_partition(g)
     for ca in part:
         for cb in part:
-            qa = conjugacy_class(q, q.project(ca.representative))
-            qb = conjugacy_class(q, q.project(cb.representative))
+            qa = conjugacy_class(q, project(ca.representative))
+            qb = conjugacy_class(q, project(cb.representative))
             if qa.members.isdisjoint(qb.members):
                 assert ca.members.isdisjoint(cb.members)
 

@@ -24,3 +24,36 @@ def test_the_package_imports_only_the_standard_library():
     assert {("verify.py", m) for m in ("pickle", "select", "signal")} <= seen
     assert [(f, m) for f, m in sorted(seen)
             if m not in sys.stdlib_module_names] == []
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # A public top-level def, class or assignment of a module must be
+    # used somewhere in the package or the bench harness: a name that
+    # only tests call is a test helper and belongs in tests/conftest.py.
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted(p for p in (root / "src" / "classprod").glob("*.py")
+                     if p.name != "__init__.py")
+    trees = {p: ast.parse(p.read_text(), str(p))
+             for p in modules + sorted((root / "bench").glob("*.py"))}
+    defined = set()
+    for path in modules:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined.update((path.name, n) for n in names
+                           if not n.startswith("_"))
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted((f, n) for f, n in defined if n not in used) == []
