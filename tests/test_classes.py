@@ -389,6 +389,28 @@ def test_decomposition_classes_cover_product(cached):
     assert (g._partition is not None) == cached
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
+@pytest.mark.parametrize("spec", [
+    ConstructionSpec(kind="dihedral", n=8),
+    ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=1),
+    WREATH81,
+], ids=str)
+def test_classes_meeting_finds_the_classes_a_set_meets(spec, cached):
+    g = build(spec)
+    if cached:
+        class_partition(g)
+    brute = sorted(brute_class_partition(g), key=min)
+    whole = _classes_meeting(g, g.elements())
+    assert [c.members for c in whole] == brute
+    # one member of every other class, listed twice in two orders
+    met = brute[::2]
+    picks = [max(c) for c in met]
+    found = _classes_meeting(g, picks + picks[::-1])
+    assert [c.members for c in found] == met
+    assert _classes_meeting(g, []) == ()
+    assert (g._partition is not None) == cached
+
+
 def test_eta_is_symmetric(heisenberg27):
     reps = [cls.representative for cls in class_partition(heisenberg27)]
     for a in reps:

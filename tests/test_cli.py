@@ -17,6 +17,8 @@ import classprod
 import classprod.verify as verify_mod
 from classprod import ConstructionSpec, build, center, corpus
 from classprod.cli import build_parser, main
+from classprod.constructions import KINDS
+from classprod.formats import cayley_table_text
 from classprod.verify import merge_spectrum_reports
 
 from conftest import report_from_record
@@ -320,6 +322,102 @@ def test_gap_violation_is_a_report_not_an_error(fmt, capsys, monkeypatch):
         outs.append(captured.out)
     assert outs[0] == outs[1]
     assert outs[0].startswith("eta," if fmt == "csv" else '{"')
+
+
+# ---------------------------------------------------------------------------
+# the report schema, as the README states it
+
+
+FIELDS = {"theorem", "group", "p", "pairs_checked", "violations",
+          "spectrum", "elapsed_ms"}
+LABELS = {"A", "B", "Prop2.1", "Prop4.1", "Prop4.3", "Remark4.2", "spectrum"}
+
+
+def _count(value, least=0):
+    return type(value) is int and value >= least
+
+
+def _assert_member(group, hex_rep, built):
+    """A hex representative names an element of the record's group."""
+    assert type(hex_rep) is str and re.fullmatch(r"(?:[0-9a-f]{2})+", hex_rep)
+    if group["kind"] in KINDS:
+        key = json.dumps(group, sort_keys=True)
+        if key not in built:
+            built[key] = build(ConstructionSpec.from_plain(group))
+        built[key]._check(bytes.fromhex(hex_rep))
+
+
+def _assert_documented_shape(record, timed, built):
+    assert set(record) == FIELDS
+    assert record["theorem"] in LABELS
+    assert type(record["group"]) is dict
+    assert _count(record["p"], 2)
+    assert _count(record["pairs_checked"])
+    assert _count(record["elapsed_ms"])
+    if not timed:
+        assert record["elapsed_ms"] == 0
+    assert type(record["violations"]) is list
+    for v in record["violations"]:
+        assert set(v) == {"a", "b", "eta", "expected"}
+        _assert_member(record["group"], v["a"], built)
+        _assert_member(record["group"], v["b"], built)
+        assert _count(v["eta"], 1)
+        assert type(v["expected"]) is str and v["expected"]
+    assert type(record["spectrum"]) is dict
+    for key, entry in record["spectrum"].items():
+        assert key == str(int(key)) and int(key) >= 1  # no sign, no zeros
+        assert set(entry) == {"count", "witness"}
+        assert _count(entry["count"], 1)
+        witness = entry["witness"]
+        assert set(witness) == {"group", "a", "b"}
+        assert type(witness["group"]) is dict
+        _assert_member(witness["group"], witness["a"], built)
+        _assert_member(witness["group"], witness["b"], built)
+    if record["theorem"] == "spectrum":
+        # every checked pair is tallied under its eta
+        assert sum(e["count"] for e in record["spectrum"].values()) == (
+            record["pairs_checked"])
+
+
+@pytest.mark.parametrize("args,code", [
+    (["verify", "--corpus", "--theorem", "a", "--p", "3",
+      "--max-order", "243"], 0),
+    (["verify", "--corpus", "--theorem", "a", "--p", "5",
+      "--max-order", "125"], 0),
+    (["verify", "--corpus", "--theorem", "b", "--p", "3",
+      "--max-order", "243"], 0),
+    (["verify", "--corpus", "--theorem", "b", "--p", "3",
+      "--max-order", "243", "--jobs", "2"], 0),
+    (["verify", "--corpus", "--theorem", "size2", "--p", "2",
+      "--max-order", "32"], 0),
+    (["verify", "--corpus", "--theorem", "a", "--p", "3",
+      "--max-order", "81", "--timings"], 0),
+    (["verify", "--group", "wreath81.spec", "--theorem", "a", "--p", "3"], 0),
+    (["verify", "--group", "wreath81.cayley", "--theorem", "b",
+      "--p", "3"], 0),
+    (["reproduce", "--p", "3"], 2),
+    (["reproduce", "--p", "5", "--timings"], 0),
+    (["spectrum", "--p", "3", "--max-order", "243"], 0),
+    (["spectrum", "--p", "5", "--max-order", "125", "--timings"], 0),
+], ids=["verify-a-p3", "verify-a-p5", "verify-b-p3", "verify-b-jobs2",
+        "verify-size2-p2", "verify-a-timings", "verify-spec-file",
+        "verify-cayley-file", "reproduce-p3", "reproduce-p5-timings",
+        "spectrum-p3", "spectrum-p5-timings"])
+def test_every_record_has_the_documented_shape(args, code, tmp_path,
+                                               capsys):
+    wreath = ConstructionSpec(kind="wreath-cyclic", p=3,
+                              base=ConstructionSpec(kind="cyclic", n=3))
+    (tmp_path / "wreath81.spec").write_text(wreath.to_json())
+    (tmp_path / "wreath81.cayley").write_text(
+        cayley_table_text(build(wreath)))
+    args = [str(tmp_path / a) if a.startswith("wreath81.") else a
+            for a in args]
+    got, records, err = run_cli(args, capsys)
+    assert (got, err) == (code, "")
+    assert records
+    built: dict = {}
+    for record in records:
+        _assert_documented_shape(record, "--timings" in args, built)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from conftest import (
     brute_class,
     brute_closure,
     dihedral_reference_table,
+    quotient,
     relabelled_table,
     sample_elements,
 )
@@ -502,6 +503,41 @@ def test_subgroup_view_refuses_foreign_encodings(cyclic9):
         SubgroupView(cyclic9, [cyclic9.identity, b"\xff", b"\xfe"])
 
 
+FOREIGN_SPECS = [
+    ConstructionSpec(kind="cyclic", n=9),
+    ConstructionSpec(kind="cyclic", n=300),            # two-byte residues
+    ConstructionSpec(kind="elementary-abelian", p=3, n=2),
+    ConstructionSpec(kind="dihedral", n=8),
+    ConstructionSpec(kind="quaternion8"),              # a Cayley table
+    ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=1),
+    ConstructionSpec(kind="direct-product", factors=(
+        ConstructionSpec(kind="cyclic", n=3),
+        ConstructionSpec(kind="dihedral", n=8))),
+    ConstructionSpec(kind="wreath-cyclic", p=3,
+                     base=ConstructionSpec(kind="cyclic", n=3)),
+    ConstructionSpec(kind="affine-wreath", p=3),
+    ConstructionSpec(kind="iterated-wreath-sylow", p=3, copies=2),
+]
+
+
+@pytest.mark.parametrize("spec", FOREIGN_SPECS, ids=str)
+def test_subgroup_view_refuses_foreign_encodings_on_every_backend(spec):
+    # each backend checks its own encodings: one byte too many, one too
+    # few, and all bytes 0xff, which no backend here uses
+    g = build(spec)
+    e = g.identity
+    for bad in (e + b"\x00", e[:-1], b"\xff" * len(e)):
+        with pytest.raises(ForeignElementError):
+            SubgroupView(g, [e, bad])
+
+
+def test_subgroup_views_of_two_builds_differ(dihedral8):
+    h = build(ConstructionSpec(kind="dihedral", n=8))
+    z = brute_center(dihedral8)
+    assert SubgroupView(dihedral8, z) == SubgroupView(dihedral8, z)
+    assert SubgroupView(dihedral8, z) != SubgroupView(h, z)
+
+
 def test_subgroup_view_needs_the_identity():
     g = build(ConstructionSpec(kind="cyclic", n=5))
     with pytest.raises(InvalidParameterError,
@@ -516,6 +552,27 @@ def test_subgroup_lagrange_check(dihedral8):
         elems[0] = dihedral8.identity
     with pytest.raises(InvalidParameterError):
         SubgroupView(dihedral8, elems)
+
+
+# ---------------------------------------------------------------------------
+# the tests' own quotient, which the monotonicity tests rest on
+
+
+def test_quotient_by_center(wreath81):
+    q, project = quotient(wreath81, center(wreath81).elements)
+    assert q.order == 27
+    # projection is a homomorphism
+    for x in sample_elements(wreath81, 10, seed=3):
+        for y in sample_elements(wreath81, 10, seed=4):
+            assert project(wreath81.multiply(x, y)) == q.multiply(
+                project(x), project(y))
+
+
+def test_quotient_identity_is_subgroup_coset(wreath81):
+    z = center(wreath81)
+    q, project = quotient(wreath81, z.elements)
+    kernel = {x for x in wreath81.elements() if project(x) == q.identity}
+    assert kernel == z.elements
 
 
 def test_sample_elements_deterministic(wreath81):

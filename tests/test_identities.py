@@ -11,6 +11,7 @@ import itertools
 import pytest
 
 from classprod import (
+    CayleyTableGroup,
     ConstructionSpec,
     build,
     center,
@@ -30,6 +31,7 @@ from conftest import (
     eta,
     quotient,
     random_pairs,
+    relabelled_table,
 )
 
 
@@ -41,6 +43,27 @@ from conftest import (
     "dihedral8", "quaternion8", "heisenberg27", "wreath81", "affine162"])
 def test_product_translate_identity_random_pairs(fixture, request):
     g = request.getfixturevalue(fixture)
+    for a, b in random_pairs(g, 120, seed=17):
+        assert check_product_identity(g, a, b)
+
+
+@pytest.mark.parametrize("spec", [
+    ConstructionSpec(kind="iterated-wreath-sylow", p=3, copies=2),
+    ConstructionSpec(kind="direct-product", factors=(
+        ConstructionSpec(kind="dihedral", n=8),
+        ConstructionSpec(kind="extraspecial-exponent-p", p=3, l=1))),
+    ConstructionSpec(kind="iterated-wreath-sylow", p=2, copies=3),
+    ConstructionSpec(kind="dihedral", n=16),
+], ids=str)
+def test_product_translate_identity_on_more_backends(spec):
+    g = build(spec)
+    for a, b in random_pairs(g, 40, seed=23):
+        assert check_product_identity(g, a, b)
+
+
+def test_product_translate_identity_on_a_relabelled_table(heisenberg27):
+    # a table whose labels are not the encoding order of the group
+    g = CayleyTableGroup(relabelled_table(heisenberg27, seed=5))
     for a, b in random_pairs(g, 120, seed=17):
         assert check_product_identity(g, a, b)
 
