@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
@@ -150,8 +151,26 @@ def parse_config(argv=None) -> argparse.Namespace:
 # ----------------------------------------------------------------------
 # subcommand implementations, each returning records or TheoremReports
 
+def _load(ns: argparse.Namespace):
+    """``load_group(ns.group, ns.cap)`` with the cyclic collector paused.
+
+    A table file's rows are millions of references in tuples of strings,
+    which cannot form a cycle, so a collection during the load is wasted
+    work.  Freezing what is loaded keeps later collections, including
+    the one at exit, from walking it again.  This lives here and not in
+    the library, since the command owns the process and a library-level
+    freeze would keep every caller's garbage cycles for good.
+    """
+    gc.disable()
+    try:
+        return load_group(ns.group, ns.cap)
+    finally:
+        gc.freeze()
+        gc.enable()
+
+
 def _run_classes(ns: argparse.Namespace) -> list[dict]:
-    g, desc = load_group(ns.group, ns.cap)
+    g, desc = _load(ns)
     records = []
     for c in class_partition(g):
         records.append({"group": desc, "rep": c.representative.hex(),
@@ -160,7 +179,7 @@ def _run_classes(ns: argparse.Namespace) -> list[dict]:
 
 
 def _run_product(ns: argparse.Namespace) -> list[dict]:
-    g, desc = load_group(ns.group, ns.cap)
+    g, desc = _load(ns)
     xa = conjugacy_class(g, parse_element_word(g, ns.a))
     xb = conjugacy_class(g, parse_element_word(g, ns.b))
     d = class_product(xa, xb)
@@ -177,12 +196,12 @@ def _run_product(ns: argparse.Namespace) -> list[dict]:
 def _run_verify(ns: argparse.Namespace) -> list[TheoremReport]:
     if ns.use_corpus:
         return verify_corpus(ns.theorem, ns.p, ns.max_order, ns.cap, ns.jobs)
-    g, desc = load_group(ns.group, ns.cap)
+    g, desc = _load(ns)
     return [verify_group(ns.theorem, g, ns.p, desc)]
 
 
 def _run_inspect(ns: argparse.Namespace) -> list[dict]:
-    g, desc = load_group(ns.group, ns.cap)
+    g, desc = _load(ns)
     part = class_partition(g)
     return [{
         "group": desc,

@@ -20,6 +20,7 @@ applies, the offending line.
 from __future__ import annotations
 
 import os
+import re
 
 from .constructions import ConstructionSpec, build
 from .errors import FormatError, InvalidParameterError
@@ -53,14 +54,16 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+# ``int`` alone would also take ``1_0`` and non-ASCII digits such as ``١``
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _int_tokens(line: str, path: str, lineno: int) -> list[int]:
     values = []
     for token in line.split():
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise FormatError(
-                f"{path}:{lineno}: {token!r} is not an integer") from None
+        if not _INTEGER.fullmatch(token):
+            raise FormatError(f"{path}:{lineno}: {token!r} is not an integer")
+        values.append(int(token))
     return values
 
 
@@ -80,17 +83,20 @@ def _head_value(lines: list[tuple[int, str]], path: str, what: str) -> int:
 class _TableText:
     """The body rows of a table file, each parsed only when it is read.
 
-    ``labels`` are the canonical entries ``str(i)``, in which the table
-    group holds its rows.  ``row_equals(i, row)`` says whether line i is
-    the canonical rendering of the label row ``row`` (its labels one
-    space apart), so a matching line is never split; a line that differs
-    is read in full by the validator.
+    ``labels`` are the canonical entries followed by one space,
+    ``f"{i} "``, in which the table group holds its rows.
+    ``row_equals(i, row)`` says whether line i is the canonical rendering
+    of the label row ``row``: the join of ``row`` with no separator is
+    that rendering plus a trailing space, and the line is stripped, so
+    the two are equal exactly when the join is one character longer than
+    the line and starts with it.  A matching line is never split; a line
+    that differs is read in full by the validator.
     """
 
     def __init__(self, body: list[tuple[int, str]], path: str):
         self._body = body
         self._path = path
-        self.labels = [str(i) for i in range(len(body))]
+        self.labels = [f"{i} " for i in range(len(body))]
 
     def __len__(self) -> int:
         return len(self._body)
@@ -110,7 +116,9 @@ class _TableText:
         return row
 
     def row_equals(self, i: int, row: tuple[str, ...]) -> bool:
-        return " ".join(row) == self._body[i][1]
+        text = "".join(row)
+        line = self._body[i][1]
+        return len(text) == len(line) + 1 and text.startswith(line)
 
 
 def _parse_cayley_table(lines: list[tuple[int, str]], path: str,

@@ -300,20 +300,21 @@ class CayleyTableGroup(GroupHandle):
     0 must be the identity.  ``table`` is any sequence of n rows, and
     one breadth-first walk from 0 (:func:`_walk_table`) validates it.
     The rows are held in the table's own labels: ``table.labels`` where
-    the table has them (the file loader's are the decimal strings
-    ``str(i)``) and the ints 0..n-1 otherwise, so every row shares those
-    n objects.  The walk reads row 0 and each generator row in full;
-    where it stalls, the least unreached index becomes the next
-    generator.  Where it first reaches z = x*g, it derives ``cand``, row
-    x permuted by row g, and compares the given row z with it: through
-    ``table.row_equals(z, cand)`` where the table has one (the file
-    loader joins the labels and compares text) and as a tuple otherwise.
-    A text match is exact, since the join of the canonical labels is the
-    row's canonical text, and a row that does not match is read and
-    checked in full.  A row read in full is range-, length- and
-    bijection-checked and must fix column 0 before it is mapped onto the
-    labels; a derived row permutes a bijection by a bijection, so it is
-    one, and it fixes column 0 by construction.
+    the table has them (the file loader's are the decimal strings with a
+    trailing space, ``f"{i} "``) and the ints 0..n-1 otherwise, so every
+    row shares those n objects.  The walk reads row 0 and each generator
+    row in full; where it stalls, the least unreached index becomes the
+    next generator.  Where it first reaches z = x*g, it derives ``cand``,
+    row x permuted by row g, and compares the given row z with it:
+    through ``table.row_equals(z, cand)`` where the table has one (the
+    file loader joins the labels with no separator and compares the text
+    with the line plus one space) and as a tuple otherwise.  A text match
+    is exact, since that join is the row's canonical text plus one space,
+    and a row that does not match is read and checked in full.  A row
+    read in full is range-, length- and bijection-checked and must fix
+    column 0 before it is mapped onto the labels; a derived row permutes
+    a bijection by a bijection, so it is one, and it fixes column 0 by
+    construction.
 
     Then, as in Light's test (Clifford & Preston, *The Algebraic Theory
     of Semigroups*, Vol. I, 1961), left translations L_g (row g) are

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gc
 import itertools
 import json
 import os
@@ -18,7 +19,7 @@ import classprod.verify as verify_mod
 from classprod import ConstructionSpec, build, center, corpus
 from classprod.cli import build_parser, main
 from classprod.constructions import KINDS
-from classprod.formats import cayley_table_text
+from classprod.formats import cayley_table_text, load_group
 from classprod.verify import merge_spectrum_reports
 
 from conftest import report_from_record
@@ -113,6 +114,28 @@ def test_inspect_rejects_field_the_kind_does_not_read(tmp_path, capsys):
     assert code == 1
     assert records == []
     assert "'p'" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command", [
+    ["classes"], ["product", "--a", "g0", "--b", "g1"], ["inspect"],
+    ["verify", "--theorem", "size2"]], ids=lambda c: c[0])
+def test_the_cli_loads_a_group_with_the_collector_paused_then_frozen(
+        command, tmp_path, capsys, dihedral8):
+    table = tmp_path / "d8.cayley"
+    table.write_text(cayley_table_text(dihedral8))
+    gc.unfreeze()
+    try:
+        load_group(str(table))
+        assert gc.get_freeze_count() == 0
+        assert main([*command, "--group", str(table)]) == 0
+        assert gc.isenabled()
+        assert gc.get_freeze_count() > 0
+        assert main(_non_utf8_table(tmp_path)) == 1
+        assert gc.isenabled()
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "bad-file-format"
+    finally:
+        gc.unfreeze()
 
 
 # ---------------------------------------------------------------------------

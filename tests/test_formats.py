@@ -147,6 +147,23 @@ def test_cayley_file_rejects_garbage(tmp_path):
     assert f"{path}:2: 'x' is not an integer" in str(err.value)
 
 
+@pytest.mark.parametrize("name,text,lineno,token", [
+    ("z3.cayley", "3\n0 1 2\n1 2 0\n2 0 \u0661\n", 4, "\u0661"),
+    ("z3.cayley", "3\n0 1 2\n1 2 0\n2 0 0_1\n", 4, "0_1"),
+    ("s2.perm", "3\n1 0 \uff12\n", 2, "\uff12"),
+    ("z3.cayley", "0_3\n0 1 2\n1 2 0\n2 0 1\n", 1, "0_3"),
+    ("z3.txt", "\u0663\n0 1 2\n1 2 0\n2 0 1\n", 1, "\u0663"),
+], ids=["table-arabic-indic", "table-underscore", "perm-fullwidth",
+        "head-underscore", "sniffed-head-arabic-indic"])
+def test_numeric_files_take_only_ascii_decimal_integers(tmp_path, name, text,
+                                                        lineno, token):
+    # int() alone reads each of these tokens as a small index
+    path = _write(tmp_path, name, text)
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}:{lineno}: {token!r} is not an integer")):
+        load_group(path)
+
+
 def _assert_walk_inverses(g):
     """The walk's inverses equal a scan of each row for the identity."""
     identity = g._table[0][0]
@@ -403,14 +420,25 @@ def test_load_group_sniffs_a_table_whose_identity_row_is_padded(
     assert g._table == ref._table
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda line: line.rsplit(" ", 1)[0],
+     "table row has 7 entries, expected 8"),
+    (lambda line: line + " 6", "table row has 9 entries, expected 8"),
+    (lambda line: line + "2", "entry 62 outside 0..7"),
+], ids=["last-entry-dropped", "extra-entry", "last-entry-extended"])
 def test_load_group_reports_a_short_later_row_of_a_sniffed_table(
-        tmp_path, dihedral8):
+        tmp_path, monkeypatch, dihedral8, edit, message):
+    # row 5 of D8, "5 4 3 2 1 0 7 6", is derived by the walk; each edit
+    # leaves a line that is a prefix of its derivation's text or has that
+    # text as a prefix, so the comparison must reject it and read the line
     lines = cayley_table_text(dihedral8).splitlines()
-    lines[6] = lines[6].rsplit(" ", 1)[0]
+    lines[6] = edit(lines[6])
     path = _write(tmp_path, "d8.txt", "\n".join(lines) + "\n")
+    read, compared = _record_walk(monkeypatch)
     with pytest.raises(FormatError) as err:
         load_group(path)
-    assert f"{path}:7: table row has 7 entries, expected 8" in str(err.value)
+    assert 5 in compared and 5 in read
+    assert f"{path}:7: {message}" in str(err.value)
 
 
 def test_load_group_reads_a_sniffed_file_once(tmp_path, dihedral8,

@@ -57,3 +57,23 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted((f, n) for f, n in defined if n not in used) == []
+
+
+def test_only_the_cli_and_the_job_map_switch_the_collector():
+    # Pausing, resuming or freezing the cyclic collector acts on the whole
+    # process, so only the command line, which owns it, and the job map,
+    # which freezes around its forks, may do so; a library caller keeps
+    # its collector as it set it.
+    switches = {"disable", "enable", "freeze", "unfreeze"}
+    seen = set()
+    for path in sorted(Path(classprod.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in switches
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "gc"):
+                    seen.add((path.name, getattr(top, "name", None)))
+                assert not (isinstance(node, ast.ImportFrom)
+                            and node.module == "gc"), path.name
+    assert {f for f, _ in seen} == {"cli.py", "verify.py"}
+    assert {top for f, top in seen if f == "verify.py"} == {"_map_jobs"}
