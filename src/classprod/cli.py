@@ -159,14 +159,18 @@ def _load(ns: argparse.Namespace):
     work.  Freezing what is loaded keeps later collections, including
     the one at exit, from walking it again.  This lives here and not in
     the library, since the command owns the process and a library-level
-    freeze would keep every caller's garbage cycles for good.
+    freeze would keep every caller's garbage cycles for good.  A caller
+    that runs :func:`main` in-process gets its whole heap frozen with
+    the group, and its collector left on or off as it was.
     """
+    enabled = gc.isenabled()
     gc.disable()
     try:
         return load_group(ns.group, ns.cap)
     finally:
         gc.freeze()
-        gc.enable()
+        if enabled:
+            gc.enable()
 
 
 def _run_classes(ns: argparse.Namespace) -> list[dict]:

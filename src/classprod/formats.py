@@ -61,9 +61,14 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 def _int_tokens(line: str, path: str, lineno: int) -> list[int]:
     values = []
     for token in line.split():
-        if not _INTEGER.fullmatch(token):
-            raise FormatError(f"{path}:{lineno}: {token!r} is not an integer")
-        values.append(int(token))
+        try:
+            if not _INTEGER.fullmatch(token):
+                raise ValueError(token)
+            # int() also refuses more digits than sys.get_int_max_str_digits()
+            values.append(int(token))
+        except ValueError:
+            raise FormatError(
+                f"{path}:{lineno}: {token!r} is not an integer") from None
     return values
 
 
@@ -86,10 +91,8 @@ class _TableText:
     ``labels`` are the canonical entries followed by one space,
     ``f"{i} "``, in which the table group holds its rows.
     ``row_equals(i, row)`` says whether line i is the canonical rendering
-    of the label row ``row``: the join of ``row`` with no separator is
-    that rendering plus a trailing space, and the line is stripped, so
-    the two are equal exactly when the join is one character longer than
-    the line and starts with it.  A matching line is never split; a line
+    of the label row ``row``, whose join with no separator is that
+    rendering plus one space.  A matching line is never split; a line
     that differs is read in full by the validator.
     """
 
@@ -116,9 +119,7 @@ class _TableText:
         return row
 
     def row_equals(self, i: int, row: tuple[str, ...]) -> bool:
-        text = "".join(row)
-        line = self._body[i][1]
-        return len(text) == len(line) + 1 and text.startswith(line)
+        return "".join(row) == self._body[i][1] + " "
 
 
 def _parse_cayley_table(lines: list[tuple[int, str]], path: str,

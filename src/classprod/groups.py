@@ -307,14 +307,13 @@ class CayleyTableGroup(GroupHandle):
     next generator.  Where it first reaches z = x*g, it derives ``cand``,
     row x permuted by row g, and compares the given row z with it:
     through ``table.row_equals(z, cand)`` where the table has one (the
-    file loader joins the labels with no separator and compares the text
-    with the line plus one space) and as a tuple otherwise.  A text match
-    is exact, since that join is the row's canonical text plus one space,
-    and a row that does not match is read and checked in full.  A row
-    read in full is range-, length- and bijection-checked and must fix
-    column 0 before it is mapped onto the labels; a derived row permutes
-    a bijection by a bijection, so it is one, and it fixes column 0 by
-    construction.
+    file loader compares the labels joined with no separator, the row's
+    canonical text plus one space, with the line plus one space) and as
+    a tuple otherwise, so a match is exact; a row that does not match is
+    read and checked in full.  A row read in full is range-, length- and
+    bijection-checked and must fix column 0 before it is mapped onto the
+    labels; a derived row permutes a bijection by a bijection, so it is
+    one, and it fixes column 0 by construction.
 
     Then, as in Light's test (Clifford & Preston, *The Algebraic Theory
     of Semigroups*, Vol. I, 1961), left translations L_g (row g) are

@@ -134,7 +134,11 @@ def test_the_cli_loads_a_group_with_the_collector_paused_then_frozen(
         assert gc.isenabled()
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "bad-file-format"
+        gc.disable()
+        assert main([*command, "--group", str(table)]) == 0
+        assert not gc.isenabled()
     finally:
+        gc.enable()
         gc.unfreeze()
 
 
@@ -569,9 +573,9 @@ def test_bad_input_is_one_error_record_not_a_traceback(make_args, code,
 _BIG_P = "1000000000000000000000000000057"  # a prime above 2^64
 
 
-def _inspect_spec(text):
+def _inspect_file(text, name="group.spec"):
     def make_args(tmp_path):
-        path = tmp_path / "group.spec"
+        path = tmp_path / name
         path.write_text(text)
         return ["inspect", "--group", str(path)]
     return make_args
@@ -587,24 +591,32 @@ def _product_words(a):
 
 @pytest.mark.parametrize("make_args,code", [
     # JSON integers above 4300 digits, and orders above 4300 digits
-    (_inspect_spec('{"kind":"cyclic","n":1' + "0" * 5000 + "}"),
+    (_inspect_file('{"kind":"cyclic","n":1' + "0" * 5000 + "}"),
      "bad-file-format"),
-    (_inspect_spec('{"kind":"elementary-abelian","p":3,"n":20000}'),
+    (_inspect_file('{"kind":"elementary-abelian","p":3,"n":20000}'),
      "invalid-parameter"),
-    (_inspect_spec('{"kind":"elementary-abelian","p":3,"n":10000000}'),
+    (_inspect_file('{"kind":"elementary-abelian","p":3,"n":10000000}'),
      "invalid-parameter"),
     # primes above 2^64
     (lambda _: ["spectrum", "--p", _BIG_P, "--max-order", "10"],
      "invalid-prime"),
     (lambda _: ["reproduce", "--p", _BIG_P], "invalid-prime"),
-    (_inspect_spec('{"kind":"elementary-abelian","p":%s,"n":2}' % _BIG_P),
+    (_inspect_file('{"kind":"elementary-abelian","p":%s,"n":2}' % _BIG_P),
      "invalid-prime"),
     # element words whose numbers have more digits than int() converts
     (_product_words("g0^" + "9" * 5000), "parse-error"),
     (_product_words("g" + "9" * 5000), "unknown-generator"),
+    # table and permutation numbers above 4300 digits
+    (_inspect_file("1" + "0" * 5000 + "\n0\n", "big.cayley"),
+     "bad-file-format"),
+    (_inspect_file("3\n0 1 2\n1 2 0\n2 0 1" + "0" * 5000 + "\n",
+                   "z3.cayley"), "bad-file-format"),
+    (_inspect_file("2\n1 " + "0" * 5000 + "\n", "s2.perm"),
+     "bad-file-format"),
 ], ids=["json-5001-digits", "ea-3-20000", "ea-3-10e7", "spectrum-big-p",
         "reproduce-big-p", "ea-big-p", "word-exponent-5000-digits",
-        "word-generator-5000-digits"])
+        "word-generator-5000-digits", "table-head-5001-digits",
+        "table-row-5001-digits", "perm-row-5000-digits"])
 def test_large_number_input_is_one_quick_error_record(make_args, code,
                                                      tmp_path, capsys):
     args = make_args(tmp_path)

@@ -153,11 +153,18 @@ def test_cayley_file_rejects_garbage(tmp_path):
     ("s2.perm", "3\n1 0 \uff12\n", 2, "\uff12"),
     ("z3.cayley", "0_3\n0 1 2\n1 2 0\n2 0 1\n", 1, "0_3"),
     ("z3.txt", "\u0663\n0 1 2\n1 2 0\n2 0 1\n", 1, "\u0663"),
+    # more digits than int() converts from a string
+    ("z3.cayley", "1" + "0" * 5000 + "\n0 1 2\n1 2 0\n2 0 1\n", 1,
+     "1" + "0" * 5000),
+    ("z3.cayley", "3\n0 1 2\n1 2 0\n2 0 1" + "0" * 5000 + "\n", 4,
+     "1" + "0" * 5000),
 ], ids=["table-arabic-indic", "table-underscore", "perm-fullwidth",
-        "head-underscore", "sniffed-head-arabic-indic"])
+        "head-underscore", "sniffed-head-arabic-indic", "head-5001-digits",
+        "table-row-5001-digits"])
 def test_numeric_files_take_only_ascii_decimal_integers(tmp_path, name, text,
                                                         lineno, token):
-    # int() alone reads each of these tokens as a small index
+    # int() alone reads the first five tokens as small indices and raises
+    # a bare ValueError on the last two
     path = _write(tmp_path, name, text)
     with pytest.raises(FormatError, match=re.escape(
             f"{path}:{lineno}: {token!r} is not an integer")):
